@@ -109,7 +109,7 @@ def test_engine_matches_itself_across_worker_counts(benchmark):
 )
 def test_four_worker_speedup():
     """ISSUE 1 acceptance: a >=500-trial Table 1 campaign on 4 workers
-    runs >=2.5x faster than serial (trial count sized so pool startup
+    runs >=2.5x faster than serial (trial count sized so worker startup
     is amortized, as in any real campaign)."""
     spec = ChecksumCampaignSpec(
         size=100, bits=2, pattern="random", trials=60_000, seed=99

@@ -3,7 +3,7 @@
 The paper's evaluation (Section 6) is statistical: every coverage
 number is a miss rate over thousands of injection trials.  This package
 turns a campaign into *pure data* (:class:`CampaignSpec` subclasses)
-and fans the trials out over ``multiprocessing`` workers with
+and shards the trials over worker processes with
 **deterministic per-trial seeding** — trial *i* of a campaign seeded
 ``s`` always draws from ``Random(trial_seed(s, i))``, so an N-worker
 run is bit-identical to the serial run and any single trial can be
@@ -16,8 +16,9 @@ Layout:
 * :mod:`repro.campaign.records` — :class:`TrialRecord`, verdict
   vocabulary, and the JSONL trial-log format with truncation-tolerant
   reads (resume support).
-* :mod:`repro.campaign.engine` — the serial/parallel driver, the
-  resume logic, and :class:`CampaignResult`.
+* :mod:`repro.campaign.engine` — :func:`run_campaign` (in-process, or
+  sharded over :mod:`repro.service.dispatcher` workers), the resume
+  logic, and :class:`CampaignResult`.
 * :mod:`repro.campaign.golden` — the process-wide golden-run cache
   (fault-free executions computed once and shared across trials).
 * :mod:`repro.campaign.stats` — Wilson confidence intervals and

@@ -1,11 +1,13 @@
-"""The campaign driver: serial or multiprocessing, always bit-identical.
+"""Running a campaign: in-process or sharded, always bit-identical.
 
 Because every trial is self-seeded (:func:`repro.campaign.spec.trial_seed`),
-parallelism is pure fan-out: workers receive the spec once (pool
-initializer) and then only chunks of trial indices.  Results are
-collected unordered and sorted by index, so the record *set* — and
-therefore every aggregate — is identical for any worker count; the
-differential tests in ``tests/campaign/`` pin this contract.
+parallelism is pure fan-out: with ``workers > 1`` the pending indices
+are cut into contiguous shards and handed to worker processes through
+the shard dispatcher (:mod:`repro.service.dispatcher`), which streams
+records back in whatever order they finish.  Kept records are sorted
+by index, so the record *set* — and therefore every aggregate — is
+identical for any worker count; the differential tests in
+``tests/campaign/`` pin this contract.
 
 Resume: with ``log_path`` set, each finished trial is appended to a
 JSONL log as it completes.  A killed campaign leaves a valid prefix
@@ -17,12 +19,11 @@ a log file alone is enough to finish a campaign.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 from repro.campaign.records import (
     LogContents,
@@ -34,6 +35,7 @@ from repro.campaign.records import (
 )
 from repro.campaign.spec import CampaignSpec, spec_from_dict
 from repro.campaign.stats import CampaignSummary, summarize_counts
+from repro.service.dispatcher import run_shards
 from repro.service.store import (
     COUNTER_FIELDS,
     counters_add,
@@ -42,95 +44,16 @@ from repro.service.store import (
     store_stats,
 )
 
-# ----------------------------------------------------------------------
-# Worker-side state.  The spec is shipped once via the pool initializer;
-# the prepared context (golden run, data image) is built lazily on the
-# first trial a worker executes and reused for all its later trials.
-# ----------------------------------------------------------------------
-_WORKER_SPEC: CampaignSpec | None = None
-_WORKER_PREPARED = None
-_WORKER_BATCH = None
-_WORKER_COUNTERS = None
 
+def _execute_trials(spec, prepared, indices):
+    """Yield the records for ``indices``.
 
-def _init_worker(spec: CampaignSpec) -> None:
-    global _WORKER_SPEC, _WORKER_PREPARED, _WORKER_BATCH, _WORKER_COUNTERS
-    _WORKER_SPEC = spec
-    _WORKER_PREPARED = None
-    _WORKER_BATCH = None
-    # Snapshot before the lazy prepare so a fork-inherited cache state
-    # is subtracted out and the prepare's own hits/misses are reported.
-    _WORKER_COUNTERS = counters_snapshot()
-
-
-def _batch_size(spec: CampaignSpec) -> int:
-    return max(1, int(getattr(spec, "batch", 1)))
-
-
-def _batch_groups(indices: Sequence[int], size: int) -> list[list[int]]:
-    return [
-        list(indices[start : start + size])
-        for start in range(0, len(indices), size)
-    ]
-
-
-def _execute_trials(spec, prepared, indices, batch_context=None):
-    """Yield the records for ``indices`` (batch-aware).
-
-    The one trial loop shared by the serial path, the pool workers and
-    the service dispatcher's workers — bit-identity across all three
-    is this function being the only way trials run.
+    The one trial loop shared by the in-process path and the
+    dispatcher's workers — bit-identity across worker counts is this
+    function being the only way trials run.
     """
-    size = _batch_size(spec)
-    if size > 1:
-        from repro.campaign.batch import BatchContext
-
-        context = batch_context or BatchContext(spec, prepared)
-        for group in _batch_groups(indices, size):
-            yield from context.run(group)
-    else:
-        for index in indices:
-            yield spec.run_trial(index, prepared)
-
-
-def _worker_counters_delta() -> dict:
-    """Counter growth since the last call (or worker init), for the
-    driver to aggregate."""
-    global _WORKER_COUNTERS
-    now = counters_snapshot()
-    delta = counters_delta(now, _WORKER_COUNTERS)
-    _WORKER_COUNTERS = now
-    return delta
-
-
-def _run_chunk(indices: Sequence[int]) -> dict:
-    global _WORKER_PREPARED, _WORKER_BATCH
-    assert _WORKER_SPEC is not None, "worker used before initialization"
-    if _WORKER_PREPARED is None:
-        _WORKER_PREPARED = _WORKER_SPEC.prepare()
-    if _batch_size(_WORKER_SPEC) > 1 and _WORKER_BATCH is None:
-        from repro.campaign.batch import BatchContext
-
-        _WORKER_BATCH = BatchContext(_WORKER_SPEC, _WORKER_PREPARED)
-    records = list(
-        _execute_trials(
-            _WORKER_SPEC, _WORKER_PREPARED, indices, _WORKER_BATCH
-        )
-    )
-    return {"records": records, "counters": _worker_counters_delta()}
-
-
-def _chunked(indices: Sequence[int], workers: int) -> list[list[int]]:
-    """Contiguous chunks, several per worker (load balancing without
-    per-trial IPC overhead)."""
-    if not indices:
-        return []
-    target_chunks = max(workers * 4, 1)
-    chunk_size = max(1, (len(indices) + target_chunks - 1) // target_chunks)
-    return [
-        list(indices[start : start + chunk_size])
-        for start in range(0, len(indices), chunk_size)
-    ]
+    for index in indices:
+        yield spec.run_trial(index, prepared)
 
 
 @dataclass
@@ -145,14 +68,6 @@ class CampaignResult:
     """How many trials were recovered from the log instead of re-run."""
     log_path: str | None = None
     workers: int = 1
-    golden_cache: dict[str, int] | None = None
-    """Golden-run cache counters (hits/misses/evictions/size/limit),
-    aggregated across the driving process *and* every worker (workers
-    ship monotone counter deltas back with each chunk/shard)."""
-    instrument_cache: dict[str, int] | None = None
-    """Instrumentation-cache counters (hits/misses/disk_hits/...),
-    aggregated like ``golden_cache`` (see
-    :mod:`repro.instrument.cache`)."""
     pruned: int = 0
     """Trials short-circuited by the static oracle this run
     (``spec.prune='static'``): their records carry a *predicted*
@@ -164,11 +79,12 @@ class CampaignResult:
     store: dict[str, dict] | None = None
     """Per-namespace artifact-store stats (every namespace the run
     touched — golden, kernel, instrument, ISL memos), aggregated across
-    driver and workers."""
+    this process and every worker (workers ship monotone counter deltas
+    back with each shard)."""
     service: dict | None = None
-    """Dispatcher metrics when the campaign ran through
-    :func:`repro.service.run_service_campaign` (shards, reissues,
-    per-shard throughput); ``None`` for plain engine runs."""
+    """Dispatcher metrics (shards, reissues, per-shard throughput) when
+    the campaign fanned out over worker processes; ``None`` for
+    in-process runs."""
 
     def summary(self) -> CampaignSummary:
         return summarize_counts(self.counts)
@@ -180,19 +96,24 @@ def run_campaign(
     log_path: str | None = None,
     resume: bool = False,
     keep_records: bool = True,
-    mp_context: str | None = None,
+    progress: Callable | None = None,
+    endpoint_factory: Callable | None = None,
 ) -> CampaignResult:
     """Run (or finish) a campaign.
 
-    ``workers=1`` runs in-process; ``workers>1`` fans out over a
-    ``multiprocessing`` pool.  With ``keep_records=False`` only verdict
-    counts are retained in memory (the log, if any, still gets every
-    record) — use this for 10^5-trial table sweeps.
+    ``workers=1`` runs in-process; ``workers>1`` shards the pending
+    trials over that many worker processes (see
+    :func:`repro.service.dispatcher.run_shards`, which also documents
+    ``progress`` — live :class:`~repro.service.dispatcher.ServiceProgress`
+    snapshots — and the ``endpoint_factory`` transport seam).  With
+    ``keep_records=False`` only verdict counts are retained in memory
+    (the log, if any, still gets every record) — use this for
+    10^5-trial table sweeps.
     """
     if spec.trials < 0:
         raise ValueError("trials must be >= 0")
     start = time.perf_counter()
-    driver_base = counters_snapshot()
+    base = counters_snapshot()
     done = _load_done(spec, log_path, resume)
     pending = [i for i in range(spec.trials) if i not in done]
     handle = _open_log(log_path, spec, done)
@@ -210,39 +131,36 @@ def run_campaign(
     pending, pruned = _prune_predicted(spec, pending, consume)
 
     worker_totals: dict = {}
+    service = None
     try:
         if workers <= 1 or len(pending) <= 1:
             prepared = spec.prepare() if pending else None
             for record in _execute_trials(spec, prepared, pending):
                 consume(record)
         else:
-            method = mp_context or (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
+            worker_totals, service = run_shards(
+                spec,
+                pending,
+                workers,
+                consume,
+                counts,
+                flush=handle.flush if handle is not None else None,
+                progress=progress,
+                endpoint_factory=endpoint_factory,
             )
-            context = multiprocessing.get_context(method)
-            chunks = _chunked(pending, workers)
-            with context.Pool(
-                processes=min(workers, len(chunks)),
-                initializer=_init_worker,
-                initargs=(spec,),
-            ) as pool:
-                for chunk in pool.imap_unordered(_run_chunk, chunks):
-                    for record in chunk["records"]:
-                        consume(record)
-                    counters_add(worker_totals, chunk["counters"])
-                    if handle is not None:
-                        handle.flush()
+        stats = aggregate_stats(worker_totals, base)
         if handle is not None:
-            write_stats(handle, aggregate_stats(worker_totals, driver_base))
+            write_stats(
+                handle,
+                stats if service is None else {**stats, "service": service},
+            )
     finally:
         if handle is not None:
             handle.close()
 
     if keep_records:
         kept.sort(key=lambda record: record.index)
-    return _build_result(
+    return CampaignResult(
         spec=spec,
         counts=dict(counts),
         records=kept if keep_records else None,
@@ -251,8 +169,9 @@ def run_campaign(
         log_path=log_path,
         workers=workers,
         pruned=pruned,
-        worker_totals=worker_totals,
-        driver_base=driver_base,
+        vector=stats["vector"],
+        store=stats["store"],
+        service=service,
     )
 
 
@@ -277,24 +196,6 @@ def aggregate_stats(
         entry["limit"] = gauges.get("limit", 0)
         store[name] = entry
     return {"store": store, "vector": combined["vector"]}
-
-
-def _build_result(
-    *, worker_totals, driver_base=None, service=None, **kwargs
-) -> CampaignResult:
-    from repro.campaign.golden import cache_stats
-    from repro.instrument.cache import cache_stats as instrument_cache_stats
-
-    stats = aggregate_stats(worker_totals, driver_base)
-    store = stats["store"]
-    return CampaignResult(
-        golden_cache=store.get("golden", cache_stats()),
-        instrument_cache=store.get("instrument", instrument_cache_stats()),
-        vector=stats["vector"],
-        store=store,
-        service=service,
-        **kwargs,
-    )
 
 
 def _load_done(
@@ -368,7 +269,16 @@ def resume_campaign(
 
 
 def _check_header(contents: LogContents, spec: CampaignSpec) -> None:
-    if contents.spec_dict is not None and contents.spec_dict != spec.to_dict():
+    """Refuse a log written by a different campaign.  Specs compare in
+    normalised form, so a header carrying fields that no longer exist
+    (``spec_from_dict`` drops them) still matches its campaign."""
+    if contents.spec_dict is None:
+        return
+    try:
+        logged = spec_from_dict(contents.spec_dict).to_dict()
+    except ValueError:
+        logged = None
+    if logged != spec.to_dict():
         raise ValueError(
             "log header does not match the campaign spec being resumed; "
             "refusing to merge records from a different campaign"

@@ -21,8 +21,8 @@ generated source, so the rebuild is an exec, not a codegen run).
 
 Counters route through the store, so ``campaign run``/``report`` can
 show *aggregate* hit/miss numbers merged across worker processes
-instead of silently dropping every worker's private view on pool
-teardown.  The module-level API is unchanged from the pre-store cache.
+instead of silently dropping every worker's private view when the
+worker exits.  The module-level API is unchanged from the pre-store cache.
 """
 
 from __future__ import annotations

@@ -299,10 +299,6 @@ class ProgramCampaignSpec:
     """Compiled-backend optimization level (``--opt-level``; see
     :mod:`repro.runtime.opt`).  Every level is bit-identical — this
     only trades compile time against trial throughput."""
-    batch: int = 1
-    """Trials per batched-execution group (``--batch``; see
-    :mod:`repro.campaign.batch`).  1 = the serial per-trial loop.
-    Batched and serial runs produce canonical-identical records."""
     verify_vector: bool = False
     """Run the golden (and recovery clean) runs through *both* the
     vector and scalar backends and fail loudly on any contract-field
@@ -354,8 +350,6 @@ class ProgramCampaignSpec:
             raise ValueError(
                 f"opt_level must be one of {OPT_LEVELS}, got {self.opt_level}"
             )
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.prune not in ("none", "static"):
             raise ValueError(
                 f"prune must be 'none' or 'static', got {self.prune!r}"
@@ -387,7 +381,10 @@ class ProgramCampaignSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProgramCampaignSpec":
-        fields = {k: v for k, v in data.items() if k != "kind"}
+        # ``batch`` (trials per batched-execution group) was an
+        # execution strategy that never changed a record; older log
+        # headers still carry it.
+        fields = {k: v for k, v in data.items() if k not in ("kind", "batch")}
         fields["params"] = tuple(
             (name, int(value)) for name, value in fields.get("params", ())
         )
@@ -410,7 +407,8 @@ class ProgramCampaignSpec:
         fault model and its knobs — are excluded, so campaigns that
         differ only in those (a fault-model sweep, a differential
         matrix) share one golden run per (program, build, backend)
-        instead of re-executing it per spec."""
+        instead of re-executing it per spec.  ``opt_level`` stays in:
+        the cached context carries a kernel compiled at that level."""
         data = self.to_dict()
         for key in (
             "trials",
@@ -420,10 +418,6 @@ class ProgramCampaignSpec:
             "stuck_window",
             "burst_cells",
             "recover_retries",
-            # Batch grouping never changes the golden run; opt_level
-            # stays IN the digest — the cached _PreparedProgram carries
-            # a kernel compiled at that level.
-            "batch",
             # Pruning only decides which trials execute, never what the
             # golden run looks like.
             "prune",
@@ -789,4 +783,9 @@ def spec_from_dict(data: dict) -> "CampaignSpec":
         cls = SPEC_KINDS[data["kind"]]
     except KeyError:
         raise ValueError(f"unknown campaign kind {data.get('kind')!r}") from None
-    return cls.from_dict(data)
+    try:
+        return cls.from_dict(data)
+    except TypeError as error:  # unknown or missing fields
+        raise ValueError(
+            f"unreadable {data['kind']} campaign spec: {error}"
+        ) from None

@@ -166,39 +166,6 @@ class CampaignSummary:
         return "\n".join(lines)
 
 
-class IncrementalSummary:
-    """A verdict tally that grows one record (or one merged shard) at a
-    time, cheap enough to interrogate after every arrival.
-
-    The dispatcher streams trial records out of worker shards as they
-    complete; this keeps the running Wilson interval without re-scanning
-    the record list, so ``campaign serve`` can print a live detection
-    estimate per shard.  Merging is plain counter addition — verdict
-    counts are order-independent, which is the same property that makes
-    sharded campaigns bit-identical to serial ones.
-    """
-
-    def __init__(self) -> None:
-        self.counts: Counter[str] = Counter()
-
-    def add(self, verdict: str) -> None:
-        self.counts[verdict] += 1
-
-    def merge(self, other: "IncrementalSummary | dict[str, int]") -> None:
-        counts = other.counts if isinstance(other, IncrementalSummary) else other
-        self.counts.update(counts)
-
-    @property
-    def trials(self) -> int:
-        return sum(self.counts.values())
-
-    def summary(self) -> CampaignSummary:
-        return summarize_counts(self.counts)
-
-    def detection_interval(self, z: float = Z_95) -> tuple[float, float]:
-        return self.summary().detection_interval(z)
-
-
 def summarize_counts(counts: dict[str, int]) -> CampaignSummary:
     return CampaignSummary(trials=sum(counts.values()), counts=dict(counts))
 

@@ -333,7 +333,6 @@ def _campaign_spec_from_args(args):
         stuck_window=args.stuck_window,
         burst_cells=args.burst_cells,
         opt_level=args.opt_level,
-        batch=args.batch,
         verify_vector=args.verify_vector,
         prune=args.prune,
     )
@@ -395,26 +394,13 @@ def _print_campaign_result(result) -> int:
             "(not executed; see docs/STATIC_ANALYSIS.md)"
         )
     print(summary.format())
-    if result.golden_cache is not None:
-        print(_format_cache_stats(result.golden_cache))
-    vector = getattr(result, "vector", None)
-    if vector and any(vector.values()):
-        print(_format_vector_stats(vector))
-    instrument_stats = getattr(result, "instrument_cache", None)
-    if instrument_stats is not None and (
-        instrument_stats["hits"]
-        or instrument_stats["misses"]
-        or instrument_stats["disk_hits"]
-    ):
-        print(_format_instrument_cache_stats(instrument_stats))
-    service = getattr(result, "service", None)
-    if service is not None:
-        print(_format_service_stats(service))
-    store = getattr(result, "store", None)
-    if store is not None:
-        line = _format_store_stats(store)
-        if line:
-            print(line)
+    _print_run_stats(
+        {
+            "store": result.store,
+            "vector": result.vector,
+            "service": result.service,
+        }
+    )
     if summary.counts.get("sdc") or summary.counts.get("benign"):
         print(
             "note: benign/sdc trials hit dead or pre-definition data "
@@ -423,21 +409,17 @@ def _print_campaign_result(result) -> int:
     return 0
 
 
-def _format_cache_stats(stats: dict) -> str:
-    return (
-        f"golden cache: hits={stats['hits']} misses={stats['misses']} "
-        f"evictions={stats['evictions']} "
-        f"size={stats['size']}/{stats['limit']}"
-    )
-
-
-def _format_instrument_cache_stats(stats: dict) -> str:
-    return (
-        f"instrument cache: hits={stats['hits']} "
-        f"misses={stats['misses']} disk_hits={stats['disk_hits']} "
-        f"evictions={stats['evictions']} "
-        f"size={stats['size']}/{stats['limit']}"
-    )
+def _print_run_stats(stats: dict) -> None:
+    """The vector, service and artifact-store lines of one run — from
+    a fresh :class:`CampaignResult` or a log's stats trailer."""
+    vector = stats.get("vector") or {}
+    if any(vector.values()):
+        print(_format_vector_stats(vector))
+    if stats.get("service") is not None:
+        print(_format_service_stats(stats["service"]))
+    line = _format_store_stats(stats.get("store") or {})
+    if line:
+        print(line)
 
 
 def _format_vector_stats(stats: dict) -> str:
@@ -500,8 +482,10 @@ def _progress_printer():
             f" | shard {report.shard_id} x{report.trials} "
             f"@{report.trials_per_sec:.1f}/s (worker {report.worker})"
             if report is not None
-            else " | shard reissued"
+            else ""
         )
+        if progress.reissued:
+            tail += f" | {progress.reissued} reissued"
         print(
             f"[serve] {progress.done_trials}/{progress.total_trials} trials "
             f"({progress.completed_shards}/{progress.total_shards} shards, "
@@ -518,32 +502,14 @@ def cmd_campaign_run(args) -> int:
 
     _campaign_env_from_args(args)
     spec = _campaign_spec_from_args(args)
-    use_service = getattr(args, "service", False) or getattr(
-        args, "serve", False
-    )
     try:
-        if use_service:
-            from repro.service import run_service_campaign
-
-            result = run_service_campaign(
-                spec,
-                workers=max(1, args.workers),
-                shard_trials=getattr(args, "shard_trials", None),
-                log_path=args.log,
-                resume=args.resume,
-                progress=(
-                    _progress_printer()
-                    if getattr(args, "serve", False)
-                    else None
-                ),
-            )
-        else:
-            result = run_campaign(
-                spec,
-                workers=args.workers,
-                log_path=args.log,
-                resume=args.resume,
-            )
+        result = run_campaign(
+            spec,
+            workers=args.workers,
+            log_path=args.log,
+            resume=args.resume,
+            progress=_progress_printer() if args.serve else None,
+        )
     except (ValueError, RuntimeError) as error:
         raise SystemExit(str(error)) from None
     return _print_campaign_result(result)
@@ -561,15 +527,18 @@ def cmd_campaign_resume(args) -> int:
 
 def cmd_campaign_report(args) -> int:
     from repro.campaign import read_log, summarize
-    from repro.campaign.golden import cache_stats
     from repro.campaign.spec import spec_from_dict
 
     try:
         contents = read_log(args.log)
-    except OSError as error:
+        spec = (
+            spec_from_dict(contents.spec_dict)
+            if contents.spec_dict is not None
+            else None
+        )
+    except (OSError, ValueError) as error:
         raise SystemExit(str(error)) from None
-    if contents.spec_dict is not None:
-        spec = spec_from_dict(contents.spec_dict)
+    if spec is not None:
         done = len(contents.records)
         print(
             f"campaign log: {args.log} — {done}/{spec.trials} trials"
@@ -598,43 +567,9 @@ def cmd_campaign_report(args) -> int:
             )
     print(summarize(contents.records).format())
     if contents.stats is not None:
-        # The stats trailer carries the *aggregate* counters of the run
-        # that wrote the log (driver + every worker) — authoritative
-        # over anything this reporting process computed locally.
-        store = contents.stats.get("store") or {}
-        golden = store.get("golden")
-        if golden and (golden.get("hits") or golden.get("misses")):
-            print(_format_cache_stats(golden))
-        instrument = store.get("instrument")
-        if instrument and (
-            instrument.get("hits")
-            or instrument.get("misses")
-            or instrument.get("disk_hits")
-        ):
-            print(_format_instrument_cache_stats(instrument))
-        vstats = contents.stats.get("vector") or {}
-        if any(vstats.values()):
-            print(_format_vector_stats(vstats))
-        service = contents.stats.get("service")
-        if service is not None:
-            print(_format_service_stats(service))
-        line = _format_store_stats(store)
-        if line:
-            print(line)
-        return 0
-    stats = cache_stats()
-    if stats["hits"] or stats["misses"]:
-        print(_format_cache_stats(stats))
-    from repro.instrument.cache import cache_stats as instrument_cache_stats
-
-    istats = instrument_cache_stats()
-    if istats["hits"] or istats["misses"] or istats["disk_hits"]:
-        print(_format_instrument_cache_stats(istats))
-    from repro.runtime.vector import vector_stats
-
-    vstats = vector_stats()
-    if any(vstats.values()):
-        print(_format_vector_stats(vstats))
+        # The stats trailer carries the aggregate counters of the run
+        # that wrote the log, its workers included.
+        _print_run_stats(contents.stats)
     return 0
 
 
@@ -776,8 +711,9 @@ def main(argv: list[str] | None = None) -> int:
                             help="burst: consecutive cells struck")
         p_crun.add_argument("--seed", type=int, default=0)
         p_crun.add_argument("--workers", type=int, default=1,
-                            help="worker processes (verdicts are identical "
-                            "for any worker count)")
+                            help="worker processes the trials are sharded "
+                            "over (verdicts are identical for any worker "
+                            "count)")
         p_crun.add_argument("--log", default=None,
                             help="JSONL trial log (enables resume)")
         p_crun.add_argument("--resume", action="store_true",
@@ -795,10 +731,6 @@ def main(argv: list[str] | None = None) -> int:
                             default=2,
                             help="compiled-backend optimization level "
                             "(verdicts are identical at every level)")
-        p_crun.add_argument("--batch", type=int, default=1, metavar="T",
-                            help="run T trials per batch against one shared "
-                            "memory image (records are canonical-identical "
-                            "to --batch 1)")
         p_crun.add_argument("--instrument-cache", default=None, metavar="DIR",
                             help="on-disk instrumentation cache shared by all "
                             "workers (sets REPRO_INSTRUMENT_CACHE)")
@@ -823,28 +755,20 @@ def main(argv: list[str] | None = None) -> int:
                             "golden runs / kernels / instrumented programs "
                             "(sets REPRO_ARTIFACT_STORE; see "
                             "docs/SERVICE.md)")
-        p_crun.add_argument("--shard-trials", type=int, default=None,
-                            metavar="T",
-                            help="service mode: trials per dispatched "
-                            "shard (default: auto, capped at 32)")
 
     p_crun = camp_sub.add_parser(
         "run", help="run a campaign (parallel, optionally logged)"
     )
     _add_campaign_run_args(p_crun)
-    p_crun.add_argument("--service", action="store_true",
-                        help="run through the shard dispatcher "
-                        "(crash-safe reissue, aggregate cache stats; "
-                        "records are bit-identical to --workers mode)")
     p_crun.set_defaults(func=cmd_campaign_run, serve=False)
 
     p_cserve = camp_sub.add_parser(
         "serve",
-        help="run a campaign through the shard dispatcher with live "
-        "per-shard progress (see docs/SERVICE.md)",
+        help="campaign run plus live progress streamed from the worker "
+        "shards (needs --workers > 1; see docs/SERVICE.md)",
     )
     _add_campaign_run_args(p_cserve)
-    p_cserve.set_defaults(func=cmd_campaign_run, service=True, serve=True)
+    p_cserve.set_defaults(func=cmd_campaign_run, serve=True)
 
     p_cres = camp_sub.add_parser(
         "resume", help="finish a killed campaign from its JSONL log"

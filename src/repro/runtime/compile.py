@@ -201,9 +201,6 @@ class CompiledKernel:
     restore_entry: Callable
     #: Optimization level the sources were generated at.
     opt_level: int = DEFAULT_OPT_LEVEL
-    #: Batch shape the kernel was compiled for (``None`` = single-trial;
-    #: a cache-key discriminator for the batched campaign runner).
-    batch_shape: tuple[int, ...] | None = None
     #: Level ≥ 2 only: the inlined-memory fast entry, selected at run
     #: time when no fault injector is attached to the memory image.
     fast_source: str | None = None
@@ -340,7 +337,7 @@ class CompiledKernel:
         )
         # The inlined-memory entry bypasses the injector observation
         # points, so it only ever runs on injector-free memory (golden
-        # runs, benchmarks, batched-trial golden replays).
+        # runs, benchmarks).
         entry = self.entry
         if self.fast_entry is not None and memory.injector is None:
             entry = self.fast_entry
@@ -445,8 +442,8 @@ def ir_digest(program: Program) -> str:
     return hashlib.sha256(repr(program).encode("utf-8")).hexdigest()
 
 
-#: Cached under keys ``(ir digest, opt level, batch shape)`` — a
-#: level-0 and a level-2 kernel of the same program must never alias.
+#: Cached under keys ``(ir digest, opt level)`` — a level-0 and a
+#: level-2 kernel of the same program must never alias.
 KERNEL_CACHE_LIMIT = 128
 
 
@@ -454,7 +451,6 @@ def _assemble_kernel(
     program: Program,
     digest: str,
     level: int,
-    batch_shape: tuple[int, ...] | None,
     source: str,
     checkpoint_source: str,
     fast_source: str | None,
@@ -497,18 +493,12 @@ def _assemble_kernel(
         checkpoint_entry=namespace["_checkpoint"],
         restore_entry=namespace["_restore"],
         opt_level=level,
-        batch_shape=batch_shape,
         fast_source=fast_source,
         fast_entry=fast_entry,
     )
 
 
-def _build_kernel(
-    program: Program,
-    digest: str,
-    level: int,
-    batch_shape: tuple[int, ...] | None,
-) -> CompiledKernel:
+def _build_kernel(program: Program, digest: str, level: int) -> CompiledKernel:
     opt = config_for_level(level)
     source = generate_source(program, opt)
     checkpoint_source = generate_checkpoint_source(program)
@@ -517,8 +507,7 @@ def _build_kernel(
         fast_opt = config_for_level(level, inline_mem=True)
         fast_source = generate_source(program, fast_opt)
     return _assemble_kernel(
-        program, digest, level, batch_shape, source, checkpoint_source,
-        fast_source,
+        program, digest, level, source, checkpoint_source, fast_source
     )
 
 
@@ -532,7 +521,6 @@ def _kernel_encode(entry):
         "program": entry.program,
         "digest": entry.digest,
         "level": entry.opt_level,
-        "batch_shape": entry.batch_shape,
         "source": entry.source,
         "checkpoint_source": entry.checkpoint_source,
         "fast_source": entry.fast_source,
@@ -550,7 +538,6 @@ def _kernel_decode(payload):
         payload["program"],
         payload["digest"],
         payload["level"],
-        payload["batch_shape"],
         payload["source"],
         payload["checkpoint_source"],
         payload["fast_source"],
@@ -573,7 +560,6 @@ def compile_program(
     program: Program,
     cache: bool = True,
     opt_level: int | None = None,
-    batch_shape: tuple[int, ...] | None = None,
 ) -> CompiledKernel:
     """Compile (or fetch from the cache) a kernel for ``program``.
 
@@ -592,16 +578,14 @@ def compile_program(
         raise ValueError(
             f"opt level must be one of {OPT_LEVELS}, got {opt_level!r}"
         )
-    if batch_shape is not None:
-        batch_shape = tuple(int(n) for n in batch_shape)
     digest = ir_digest(program)
     if not cache:
-        return _build_kernel(program, digest, level, batch_shape)
-    key = (digest, level, batch_shape)
+        return _build_kernel(program, digest, level)
+    key = (digest, level)
 
     def build():
         try:
-            return _build_kernel(program, digest, level, batch_shape)
+            return _build_kernel(program, digest, level)
         except CompileError as error:
             return error
 

@@ -10,14 +10,14 @@ Two pieces (see ``docs/SERVICE.md``):
   stats.  N campaign workers warm up from one golden run, and a second
   campaign over the same spec is pure cache hits.
 
-* :mod:`repro.service.dispatcher` — the **async shard dispatcher**:
-  cuts a campaign into index-range shards, fans them out to a worker
-  pool over a transport-agnostic :class:`WorkerEndpoint` protocol
-  (local processes today, multi-host backends later), streams JSONL
-  trial records back as they complete, merges Wilson CIs incrementally
-  for live progress, and reissues shards lost to worker crashes.  A
-  serviced campaign's records are bit-identical to
-  ``campaign run --workers N`` — per-trial SHA-256 seeding makes every
+* :mod:`repro.service.dispatcher` — the **async shard dispatcher**
+  behind ``run_campaign(workers=N)`` for N > 1: cuts a campaign into
+  index-range shards, fans them out to worker processes over a
+  transport-agnostic :class:`WorkerEndpoint` protocol (local processes
+  today, multi-host backends later), streams trial records back as
+  they complete for live progress, and reissues shards lost to worker
+  crashes.  A sharded campaign's records are bit-identical to the
+  in-process ``workers=1`` run — per-trial SHA-256 seeding makes every
   trial a pure function of ``(spec, index)``.
 """
 
@@ -28,7 +28,6 @@ from repro.service.dispatcher import (
     ShardFailed,
     ShardReport,
     WorkerEndpoint,
-    run_service_campaign,
 )
 from repro.service.store import (
     ENV_STORE_DIR,
@@ -53,7 +52,6 @@ __all__ = [
     "clear_store",
     "namespace",
     "namespace_hit_rate",
-    "run_service_campaign",
     "set_store_dir",
     "store_dir",
     "store_stats",

@@ -3,8 +3,10 @@
 Per-trial SHA-256 seeding (:func:`repro.campaign.spec.trial_seed`)
 makes every trial a pure function of ``(spec, index)``, so a campaign
 cuts into contiguous **shards** of pending indices that can run
-anywhere, in any order, any number of times.  The dispatcher exploits
-all three freedoms:
+anywhere, in any order, any number of times.
+:func:`repro.campaign.engine.run_campaign` hands its pending trials to
+:func:`run_shards` whenever ``workers > 1``, and the dispatcher
+exploits all three freedoms:
 
 * **fan-out** — shards go to a pool of workers behind the
   :class:`WorkerEndpoint` protocol.  The bundled transport is
@@ -13,21 +15,21 @@ all three freedoms:
   to implement the same three ``async`` methods.
 * **streaming** — workers ship trial records back in small batches
   *while the shard runs*; the driver consumes them immediately (JSONL
-  log append, verdict counts, incremental Wilson interval), so
-  ``campaign serve`` reports live progress and per-shard throughput
-  instead of a terminal summary.
+  log append, verdict counts), so ``campaign serve`` reports live
+  progress and per-shard throughput instead of a terminal summary.
 * **reissue** — a worker crash mid-shard raises :class:`ShardFailed`;
   the dispatcher re-enqueues exactly the indices that never arrived
   (streamed partials are kept, deduplicated by index), replaces the
-  dead endpoint, and carries on.  ``max_attempts`` bounds the retries
-  per shard so a deterministically-crashing trial cannot loop forever.
+  dead endpoint, and carries on.  :data:`MAX_ATTEMPTS` bounds the
+  retries per shard so a deterministically-crashing trial cannot loop
+  forever.
 
-Bit-identity contract: the record *set* equals ``campaign run
---workers N`` for every fault model, backend, batch size and
-``--prune static`` — shards execute through the same
-``_execute_trials`` loop as the engine's pool workers, prune runs in
-the driver before dispatch, and verdict counts are order-independent.
-``tests/campaign/test_service.py`` pins this differentially.
+Bit-identity contract: the record *set* equals the in-process
+``workers=1`` run for every fault model, backend and ``--prune
+static`` — shards execute through the engine's ``_execute_trials``
+loop, pruning happens before dispatch, and verdict counts are
+order-independent.  ``tests/campaign/test_service.py`` pins this
+differentially.
 
 Workers also ship artifact-store counter deltas with each completed
 shard, so the final :class:`~repro.campaign.engine.CampaignResult`
@@ -51,6 +53,10 @@ from repro.service.store import counters_add, counters_delta, counters_snapshot
 #: Records per streaming message — small enough for live progress,
 #: large enough that IPC never dominates a fast trial loop.
 RECORD_CHUNK = 16
+
+#: Runs a shard gets (first try plus reissues) before the campaign
+#: gives up on it.
+MAX_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,8 @@ class ShardReport:
 @dataclass
 class ServiceProgress:
     """Live snapshot handed to the ``progress`` callback after every
-    completed (or reissued) shard."""
+    :data:`RECORD_CHUNK` streamed records and every completed (or
+    reissued) shard; ``last_report`` is set only for a completion."""
 
     total_trials: int
     done_trials: int
@@ -137,7 +144,7 @@ class WorkerEndpoint(Protocol):
 def _worker_main(conn, spec_dict: dict) -> None:
     """Child-process loop: prepare once, then run shards until told to
     quit.  Runs in a fresh process; all repro state is built here."""
-    from repro.campaign.engine import _batch_size, _execute_trials
+    from repro.campaign.engine import _execute_trials
     from repro.campaign.spec import spec_from_dict
 
     spec = spec_from_dict(spec_dict)
@@ -145,7 +152,6 @@ def _worker_main(conn, spec_dict: dict) -> None:
     # are subtracted out of the first shard's delta.
     base = counters_snapshot()
     prepared = None
-    batch_context = None
     while True:
         try:
             message = conn.recv()
@@ -162,15 +168,9 @@ def _worker_main(conn, spec_dict: dict) -> None:
         try:
             if prepared is None:
                 prepared = spec.prepare()
-                if _batch_size(spec) > 1:
-                    from repro.campaign.batch import BatchContext
-
-                    batch_context = BatchContext(spec, prepared)
-            buffer: list[dict] = []
-            for record in _execute_trials(
-                spec, prepared, indices, batch_context
-            ):
-                buffer.append(record.to_json())
+            buffer = []
+            for record in _execute_trials(spec, prepared, indices):
+                buffer.append(record)
                 if len(buffer) >= RECORD_CHUNK:
                     conn.send(("records", buffer))
                     buffer = []
@@ -202,19 +202,19 @@ def _worker_main(conn, spec_dict: dict) -> None:
 class LocalProcessEndpoint:
     """One worker child process, reached over a ``multiprocessing`` pipe.
 
-    The pipe read blocks in a thread-pool executor so many endpoints
-    multiplex on one event loop without a reader thread each being
-    hand-managed; sends are small and non-blocking in practice.
+    The event loop watches every worker's pipe itself (``add_reader``,
+    so a selector event loop: POSIX), which lets many endpoints
+    multiplex on one thread with no reader threads to hand records
+    across; sends are small and non-blocking in practice.
     """
 
-    def __init__(self, spec, mp_context: str | None = None) -> None:
+    def __init__(self, spec) -> None:
         self.spec = spec
-        method = mp_context or (
+        self._ctx = multiprocessing.get_context(
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"
         )
-        self._ctx = multiprocessing.get_context(method)
         self.process = None
         self._conn = None
 
@@ -230,32 +230,44 @@ class LocalProcessEndpoint:
         self._conn = parent
 
     async def run_shard(self, shard: Shard, on_record: Callable) -> dict:
-        from repro.campaign.records import TrialRecord
-
         if self._conn is None:
             raise ShardFailed("endpoint not started")
-        loop = asyncio.get_running_loop()
         try:
             self._conn.send(("shard", list(shard.indices)))
         except (OSError, BrokenPipeError) as error:
             raise ShardFailed(f"worker pipe closed: {error}") from error
         while True:
             try:
-                message = await loop.run_in_executor(None, self._conn.recv)
+                message = await self._recv()
             except (EOFError, OSError) as error:
                 raise ShardFailed(
                     f"worker died mid-shard {shard.shard_id}: {error!r}"
                 ) from error
             kind = message[0]
             if kind == "records":
-                for data in message[1]:
-                    on_record(TrialRecord.from_json(data))
+                for record in message[1]:
+                    on_record(record)
             elif kind == "done":
                 return message[1]
             elif kind == "error":
                 raise ShardFailed(
                     f"shard {shard.shard_id} raised in worker:\n{message[1]}"
                 )
+
+    async def _recv(self):
+        """The worker's next message, once the pipe turns readable (a
+        dead worker's pipe turns readable too, and ``recv`` raises)."""
+        loop = asyncio.get_running_loop()
+        readable = loop.create_future()
+        fd = self._conn.fileno()
+        loop.add_reader(
+            fd, lambda: readable.done() or readable.set_result(None)
+        )
+        try:
+            await readable
+        finally:
+            loop.remove_reader(fd)
+        return self._conn.recv()
 
     async def close(self) -> None:
         if self._conn is not None:
@@ -279,219 +291,147 @@ class LocalProcessEndpoint:
 # ----------------------------------------------------------------------
 # The dispatcher
 # ----------------------------------------------------------------------
-def _make_shards(pending: list[int], workers: int, shard_trials: int | None):
-    """Contiguous shards over the pending indices.
-
-    Default size targets several shards per worker (load balancing and
-    finer-grained crash recovery) but caps at 32 trials so progress
-    stays live on long campaigns.
-    """
+def _make_shards(pending: list[int], workers: int) -> list[Shard]:
+    """Contiguous shards over the pending indices, about four per
+    worker: enough for load balancing and fine-grained crash recovery,
+    few enough that per-shard overhead never shows on fast trials."""
     if not pending:
-        return [], 0
-    if shard_trials is None:
-        per = (len(pending) + workers * 4 - 1) // (workers * 4)
-        shard_trials = max(1, min(32, per))
-    shard_trials = max(1, int(shard_trials))
-    shards = [
-        Shard(shard_id=i, indices=tuple(pending[start : start + shard_trials]))
-        for i, start in enumerate(range(0, len(pending), shard_trials))
+        return []
+    size = -(-len(pending) // (4 * workers))
+    return [
+        Shard(shard_id=i, indices=tuple(pending[start : start + size]))
+        for i, start in enumerate(range(0, len(pending), size))
     ]
-    return shards, shard_trials
 
 
-def run_service_campaign(
+def run_shards(
     spec,
-    workers: int = 2,
-    shard_trials: int | None = None,
-    log_path: str | None = None,
-    resume: bool = False,
-    keep_records: bool = True,
+    pending: list[int],
+    workers: int,
+    consume: Callable,
+    counts: dict[str, int],
+    flush: Callable[[], None] | None = None,
     progress: Callable[[ServiceProgress], None] | None = None,
     endpoint_factory: Callable[[], WorkerEndpoint] | None = None,
-    max_attempts: int = 3,
-    mp_context: str | None = None,
-):
-    """Run a campaign through the shard dispatcher.
+) -> tuple[dict, dict]:
+    """Run trials ``pending`` of ``spec`` on ``workers`` endpoints.
 
-    Same contract as :func:`repro.campaign.engine.run_campaign` —
-    records, counts, log format and resume semantics are bit-identical
-    — plus streaming progress, crash-safe shard reissue and a
-    ``result.service`` block with shard/throughput/reissue metrics.
+    ``consume`` receives every record exactly once, on this thread, as
+    it streams in; ``counts`` is the caller's live verdict tally, read
+    for ``progress`` snapshots.  ``flush`` runs after every completed
+    shard (the caller's log).  ``endpoint_factory`` swaps the transport
+    (tests inject crashing endpoints; multi-host backends slot in
+    here): each call must return a fresh, unstarted
+    :class:`WorkerEndpoint`.
 
-    ``endpoint_factory`` swaps the transport (tests inject crashing
-    endpoints; multi-host backends slot in here).  Each call must
-    return a fresh, unstarted :class:`WorkerEndpoint`.
+    Returns the workers' summed store counter deltas and the service
+    metadata (shards, reissues, per-shard reports).
     """
-    from collections import Counter
+    from repro.campaign.stats import summarize_counts
 
-    from repro.campaign.engine import (
-        _build_result,
-        _load_done,
-        _open_log,
-        _prune_predicted,
-        aggregate_stats,
-    )
-    from repro.campaign.records import write_record, write_stats
-    from repro.campaign.stats import IncrementalSummary
-
-    if spec.trials < 0:
-        raise ValueError("trials must be >= 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     start = time.perf_counter()
-    driver_base = counters_snapshot()
-    done = _load_done(spec, log_path, resume)
-    pending = [i for i in range(spec.trials) if i not in done]
-    handle = _open_log(log_path, spec, done)
-
-    counts: Counter = Counter(r.verdict for r in done.values())
-    kept = list(done.values()) if keep_records else []
-    live = IncrementalSummary()
-    live.merge(dict(counts))
-
-    def consume(record) -> None:
-        counts[record.verdict] += 1
-        live.add(record.verdict)
-        if keep_records:
-            kept.append(record)
-        if handle is not None:
-            write_record(handle, record)
-
-    pending, pruned = _prune_predicted(spec, pending, consume)
-    shards, shard_size = _make_shards(pending, workers, shard_trials)
-
+    shards = _make_shards(pending, workers)
     if endpoint_factory is None:
-        endpoint_factory = lambda: LocalProcessEndpoint(  # noqa: E731
-            spec, mp_context=mp_context
-        )
+        endpoint_factory = lambda: LocalProcessEndpoint(spec)  # noqa: E731
 
     worker_totals: dict = {}
     reports: list[ShardReport] = []
-    state = {"reissued": 0, "done_trials": 0}
+    reissued = 0
     done_indices: set[int] = set()
-    total_trials = len(pending)
 
     def emit_progress(last: ShardReport | None) -> None:
         if progress is None:
             return
         progress(
             ServiceProgress(
-                total_trials=total_trials,
-                done_trials=state["done_trials"],
+                total_trials=len(pending),
+                done_trials=len(done_indices),
                 total_shards=len(shards),
                 completed_shards=len(reports),
-                reissued=state["reissued"],
+                reissued=reissued,
                 elapsed=time.perf_counter() - start,
-                counts=dict(live.counts),
-                detection_interval=live.detection_interval(),
+                counts=dict(counts),
+                detection_interval=summarize_counts(
+                    counts
+                ).detection_interval(),
                 last_report=last,
             )
         )
 
+    def on_record(record) -> None:
+        if record.index in done_indices:
+            return
+        done_indices.add(record.index)
+        consume(record)
+        if len(done_indices) % RECORD_CHUNK == 0:
+            emit_progress(None)
+
+    async def worker_loop(queue: deque, slot: int) -> None:
+        nonlocal reissued
+        endpoint = endpoint_factory()
+        await endpoint.start()
+        try:
+            while queue:
+                shard = queue.popleft()
+                shard_started = time.perf_counter()
+                try:
+                    info = await endpoint.run_shard(shard, on_record)
+                except ShardFailed as failure:
+                    missing = tuple(
+                        i for i in shard.indices if i not in done_indices
+                    )
+                    await endpoint.close()
+                    if missing:
+                        if shard.attempt >= MAX_ATTEMPTS:
+                            raise RuntimeError(
+                                f"shard {shard.shard_id} failed "
+                                f"{shard.attempt} times; giving up: "
+                                f"{failure}"
+                            ) from failure
+                        queue.append(
+                            Shard(
+                                shard_id=shard.shard_id,
+                                indices=missing,
+                                attempt=shard.attempt + 1,
+                            )
+                        )
+                        reissued += 1
+                    emit_progress(None)
+                    endpoint = endpoint_factory()
+                    await endpoint.start()
+                    continue
+                counters_add(worker_totals, info.get("counters", {}))
+                report = ShardReport(
+                    shard_id=shard.shard_id,
+                    worker=slot,
+                    trials=len(shard.indices),
+                    elapsed=time.perf_counter() - shard_started,
+                    attempt=shard.attempt,
+                )
+                reports.append(report)
+                emit_progress(report)
+                if flush is not None:
+                    flush()
+        finally:
+            await endpoint.close()
+
     async def drive() -> None:
         queue = deque(shards)
-        next_shard_id = len(shards)
-
-        def on_record(record) -> None:
-            if record.index in done_indices:
-                return
-            done_indices.add(record.index)
-            state["done_trials"] += 1
-            consume(record)
-
-        async def worker_loop(slot: int) -> None:
-            nonlocal next_shard_id
-            if not queue:
-                return
-            endpoint = endpoint_factory()
-            await endpoint.start()
-            try:
-                while queue:
-                    shard = queue.popleft()
-                    shard_started = time.perf_counter()
-                    try:
-                        info = await endpoint.run_shard(shard, on_record)
-                    except ShardFailed as failure:
-                        missing = tuple(
-                            i for i in shard.indices if i not in done_indices
-                        )
-                        await endpoint.close()
-                        if missing:
-                            if shard.attempt >= max_attempts:
-                                raise RuntimeError(
-                                    f"shard {shard.shard_id} failed "
-                                    f"{shard.attempt} times; giving up: "
-                                    f"{failure}"
-                                ) from failure
-                            queue.append(
-                                Shard(
-                                    shard_id=shard.shard_id,
-                                    indices=missing,
-                                    attempt=shard.attempt + 1,
-                                )
-                            )
-                            state["reissued"] += 1
-                        emit_progress(None)
-                        endpoint = endpoint_factory()
-                        await endpoint.start()
-                        continue
-                    counters_add(worker_totals, info.get("counters", {}))
-                    report = ShardReport(
-                        shard_id=shard.shard_id,
-                        worker=slot,
-                        trials=len(shard.indices),
-                        elapsed=time.perf_counter() - shard_started,
-                        attempt=shard.attempt,
-                    )
-                    reports.append(report)
-                    emit_progress(report)
-                    if handle is not None:
-                        handle.flush()
-            finally:
-                await endpoint.close()
-
         async with asyncio.TaskGroup() as group:
-            for slot in range(min(workers, max(1, len(shards)))):
-                group.create_task(worker_loop(slot))
+            for slot in range(min(workers, len(shards))):
+                group.create_task(worker_loop(queue, slot))
 
-    service_meta = None
-    try:
-        if shards:
-            try:
-                asyncio.run(drive())
-            except BaseExceptionGroup as group:
-                # TaskGroup wraps worker-loop failures; surface the
-                # first real error with the engine's exception contract.
-                raise group.exceptions[0] from group
-        service_meta = {
-            "workers": workers,
-            "shards": len(shards),
-            "shard_trials": shard_size,
-            "reissued": state["reissued"],
-            "reports": [report.to_json() for report in reports],
-        }
-        if handle is not None:
-            write_stats(
-                handle,
-                aggregate_stats(worker_totals, driver_base)
-                | {"service": service_meta},
-            )
-    finally:
-        if handle is not None:
-            handle.close()
-
-    if keep_records:
-        kept.sort(key=lambda record: record.index)
-    return _build_result(
-        spec=spec,
-        counts=dict(counts),
-        records=kept if keep_records else None,
-        elapsed=time.perf_counter() - start,
-        resumed_trials=len(done),
-        log_path=log_path,
-        workers=workers,
-        pruned=pruned,
-        worker_totals=worker_totals,
-        driver_base=driver_base,
-        service=service_meta,
-    )
+    if shards:
+        try:
+            asyncio.run(drive())
+        except BaseExceptionGroup as group:
+            # TaskGroup wraps worker-loop failures; surface the first
+            # real error with the engine's exception contract.
+            raise group.exceptions[0] from group
+    return worker_totals, {
+        "workers": workers,
+        "shards": len(shards),
+        "shard_trials": len(shards[0].indices) if shards else 0,
+        "reissued": reissued,
+        "reports": [report.to_json() for report in reports],
+    }

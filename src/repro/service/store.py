@@ -28,7 +28,7 @@ The store is one get-or-compute layer shared by all of them:
   :func:`counters_delta` let campaign workers ship monotone counter
   deltas back to the driver, so ``campaign run``/``report`` show
   *aggregate* hit/miss numbers instead of silently dropping every
-  worker's view on pool teardown.
+  worker's view when the worker exits.
 
 The content-addressing contract is the owners' to keep: a namespace
 key must capture everything the artifact depends on.  The store only

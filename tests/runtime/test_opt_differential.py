@@ -178,7 +178,7 @@ def test_campaign_records_identical_across_levels(name, model):
 
 
 class TestKernelCacheKeying:
-    """Opt level and batch shape are part of the kernel-LRU key."""
+    """The opt level is part of the kernel-LRU key."""
 
     def test_levels_never_alias(self):
         program, _, _ = _build("trisolv")
@@ -191,16 +191,6 @@ class TestKernelCacheKeying:
         # Repeat lookups hit the per-level entries, never cross-serve.
         assert compile_program(program, opt_level=0) is k0
         assert compile_program(program, opt_level=2) is k2
-
-    def test_batch_shape_in_key(self):
-        program, _, _ = _build("trisolv")
-        clear_kernel_cache()
-        plain = compile_program(program, opt_level=2)
-        batched = compile_program(program, opt_level=2, batch_shape=(8,))
-        assert plain is not batched
-        assert compile_program(program, opt_level=2, batch_shape=(8,)) is (
-            batched
-        )
 
     def test_invalid_level_rejected(self):
         program, _, _ = _build("trisolv")

@@ -254,7 +254,7 @@ def test_verify_vector_raises_on_divergence():
 
 
 @pytest.mark.parametrize("fault_model", ["random_cell", "stuck_bit"])
-@pytest.mark.parametrize("extra", [{}, {"batch": 4}, {"recover": True}])
+@pytest.mark.parametrize("extra", [{}, {"recover": True}])
 def test_campaign_records_identical_vector_on_off(
     monkeypatch, fault_model, extra
 ):

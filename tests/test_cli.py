@@ -220,6 +220,49 @@ class TestCampaign:
         with pytest.raises(SystemExit):
             main(["campaign", "run", "--trials", "2"])
 
+    #: A program-campaign log header as written before batched
+    #: execution was removed: it still carries ``"batch": 1``.
+    LEGACY_HEADER = (
+        '{"type": "header", "version": 1, "spec": {"trials": 12, '
+        '"seed": 5, "program_text": null, "benchmark": "jacobi1d", '
+        '"scale": "small", "params": [], "init": [], "init_seed": 0, '
+        '"bits": 2, "target_arrays": null, "instrument": true, '
+        '"split": true, "hoist": true, "channels": 1, '
+        '"backend": "compiled", "recover": false, "recover_retries": 3, '
+        '"fault_model": "random_cell", "stuck_window": 0, '
+        '"burst_cells": 4, "opt_level": 2, "batch": 1, '
+        '"verify_vector": false, "prune": "none", "kind": "program"}}\n'
+    )
+
+    def test_legacy_batch_header_reports_and_resumes(self, tmp_path, capsys):
+        from repro.campaign import ProgramCampaignSpec, read_log, run_campaign
+        from repro.campaign.records import write_record
+
+        spec = ProgramCampaignSpec(
+            trials=12, seed=5, benchmark="jacobi1d", scale="small"
+        )
+        reference = run_campaign(spec, workers=1).records
+        log = str(tmp_path / "legacy.jsonl")
+        with open(log, "w") as handle:
+            handle.write(self.LEGACY_HEADER)
+            for record in reference[:5]:
+                write_record(handle, record)
+        assert main(["campaign", "report", log]) == 0
+        assert "5/12 trials" in capsys.readouterr().out
+        assert main(["campaign", "resume", log, "--workers", "2"]) == 0
+        assert "5 recovered from log" in capsys.readouterr().out
+        contents = read_log(log)
+        assert [r.canonical() for r in contents.records] == [
+            r.canonical() for r in reference
+        ]
+        assert contents.spec_dict == spec.to_dict()
+
+    def test_report_rejects_unknown_spec_field(self, tmp_path):
+        log = tmp_path / "future.jsonl"
+        log.write_text(self.LEGACY_HEADER.replace('"batch"', '"warp"'))
+        with pytest.raises(SystemExit, match="unreadable program campaign"):
+            main(["campaign", "report", str(log)])
+
 
 class TestMacroParsing:
     def test_macro_statements_round_trip(self):
