@@ -20,11 +20,13 @@ a log file alone is enough to finish a campaign.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.campaign.carrier import run_carrier
 from repro.campaign.records import (
     LogContents,
     TrialRecord,
@@ -45,15 +47,28 @@ from repro.service.store import (
 )
 
 
-def _execute_trials(spec, prepared, indices):
-    """Yield the records for ``indices``.
+def _execute_trials(spec, prepared, indices, emit) -> None:
+    """Run trials ``indices``, handing each record to ``emit`` as it
+    finishes (completion order, not index order).
 
     The one trial loop shared by the in-process path and the
     dispatcher's workers — bit-identity across worker counts is this
-    function being the only way trials run.
+    function being the only way trials run.  Injected program trials
+    share one carrier pass over the golden run and fork at their
+    triggers (:mod:`repro.campaign.carrier`) when the process can fork
+    and has a single thread; recovery trials, checksum campaigns,
+    single trials and whatever the carrier hands back run plainly.
     """
+    if (
+        len(indices) > 1
+        and spec.kind == "program"
+        and not spec.recover
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+    ):
+        indices = run_carrier(spec, prepared, indices, emit)
     for index in indices:
-        yield spec.run_trial(index, prepared)
+        emit(spec.run_trial(index, prepared))
 
 
 @dataclass
@@ -76,6 +91,10 @@ class CampaignResult:
     """Vector-backend counters (probes/runs/fallbacks/memoized winners),
     aggregated across driver and workers (see
     :func:`repro.runtime.vector.vector_stats`)."""
+    trials: dict[str, int] | None = None
+    """How the trials ran (``carriers``, ``forked``, ``trapped``; see
+    :data:`repro.service.store.TRIAL_PATHS`), aggregated across driver
+    and workers."""
     store: dict[str, dict] | None = None
     """Per-namespace artifact-store stats (every namespace the run
     touched — golden, kernel, instrument, ISL memos), aggregated across
@@ -135,8 +154,7 @@ def run_campaign(
     try:
         if workers <= 1 or len(pending) <= 1:
             prepared = spec.prepare() if pending else None
-            for record in _execute_trials(spec, prepared, pending):
-                consume(record)
+            _execute_trials(spec, prepared, pending, consume)
         else:
             worker_totals, service = run_shards(
                 spec,
@@ -170,6 +188,7 @@ def run_campaign(
         workers=workers,
         pruned=pruned,
         vector=stats["vector"],
+        trials=stats["trials"],
         store=stats["store"],
         service=service,
     )
@@ -178,11 +197,11 @@ def run_campaign(
 def aggregate_stats(
     worker_totals: dict | None, driver_base: dict | None = None
 ) -> dict:
-    """Merged store + vector counters of *this run*: the driver's
-    counter growth since ``driver_base`` plus every worker's shipped
-    deltas — the log's stats trailer payload.  ``size``/``limit``
-    gauges come from the driver's live namespaces."""
-    combined: dict = {"store": {}, "vector": {}}
+    """Merged store, vector and trial-path counters of *this run*: the
+    driver's counter growth since ``driver_base`` plus every worker's
+    shipped deltas — the log's stats trailer payload.  ``size``/
+    ``limit`` gauges come from the driver's live namespaces."""
+    combined: dict = {"store": {}, "vector": {}, "trials": {}}
     counters_add(combined, counters_delta(counters_snapshot(), driver_base))
     if worker_totals:
         counters_add(combined, worker_totals)
@@ -195,7 +214,11 @@ def aggregate_stats(
         entry["size"] = gauges.get("size", 0)
         entry["limit"] = gauges.get("limit", 0)
         store[name] = entry
-    return {"store": store, "vector": combined["vector"]}
+    return {
+        "store": store,
+        "vector": combined["vector"],
+        "trials": combined["trials"],
+    }
 
 
 def _load_done(

@@ -298,7 +298,9 @@ class ProgramCampaignSpec:
     opt_level: int = 2
     """Compiled-backend optimization level (``--opt-level``; see
     :mod:`repro.runtime.opt`).  Every level is bit-identical — this
-    only trades compile time against trial throughput."""
+    only trades compile time against trial throughput.  Levels 0 and
+    1 have no inline kernel body, so they also lose the load-trap body
+    that runs one-shot (``random_cell``, ``burst``) trials."""
     verify_vector: bool = False
     """Run the golden (and recovery clean) runs through *both* the
     vector and scalar backends and fail loudly on any contract-field
@@ -639,33 +641,53 @@ class ProgramCampaignSpec:
                 return True
         return False
 
-    def run_trial(self, index: int, prepared: _PreparedProgram) -> TrialRecord:
-        from repro.runtime.interpreter import run_program
-
-        start = time.perf_counter()
+    def trial_injector(self, index: int, prepared: _PreparedProgram):
+        """``(seed, injector)`` of trial ``index``: everything random
+        about a trial is drawn here, from its own seed."""
         seed = trial_seed(self.seed, index)
-        injector = self._make_trial_injector(seed, prepared)
+        return seed, self._make_trial_injector(seed, prepared)
+
+    def run_trial(self, index: int, prepared: _PreparedProgram) -> TrialRecord:
+        start = time.perf_counter()
+        seed, injector = self.trial_injector(index, prepared)
         if prepared.plan is not None:
             return self._run_recovery_trial(
                 index, seed, start, prepared, injector
             )
+        result = self.execute_injected(prepared, injector)
+        return self.classify_trial(
+            index, seed, start, injector, result, prepared
+        )
+
+    def execute_injected(self, prepared: _PreparedProgram, injector):
+        """One run of the (non-recovery) program with ``injector``
+        attached: a trial's own, or the fork point of a campaign carrier
+        (:mod:`repro.campaign.carrier`), which must see the very run a
+        trial would."""
+        from repro.runtime.interpreter import run_program
+
         if prepared.kernel is not None:
-            result = prepared.kernel.execute(
+            return prepared.kernel.execute(
                 prepared.params,
                 initial_values=_copy_values(prepared.values),
                 injector=injector,
                 channels=self.channels,
                 wild_reads=True,
             )
-        else:
-            result = run_program(
-                prepared.program,
-                prepared.params,
-                initial_values=_copy_values(prepared.values),
-                injector=injector,
-                channels=self.channels,
-                wild_reads=True,
-            )
+        return run_program(
+            prepared.program,
+            prepared.params,
+            initial_values=_copy_values(prepared.values),
+            injector=injector,
+            channels=self.channels,
+            wild_reads=True,
+        )
+
+    def classify_trial(
+        self, index, seed, start, injector, result, prepared
+    ) -> TrialRecord:
+        """The record of a finished run: verdict against the golden run,
+        with ``elapsed`` measured from ``start``."""
         record = injector.record
         extra = {"fault_model": self.fault_model}
         if record is None:

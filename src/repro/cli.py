@@ -398,6 +398,7 @@ def _print_campaign_result(result) -> int:
         {
             "store": result.store,
             "vector": result.vector,
+            "trials": result.trials,
             "service": result.service,
         }
     )
@@ -410,11 +411,19 @@ def _print_campaign_result(result) -> int:
 
 
 def _print_run_stats(stats: dict) -> None:
-    """The vector, service and artifact-store lines of one run — from
-    a fresh :class:`CampaignResult` or a log's stats trailer."""
+    """The vector, trial-path, service and artifact-store lines of one
+    run — from a fresh :class:`CampaignResult` or a log's stats
+    trailer (older trailers have no trial paths, and print none)."""
     vector = stats.get("vector") or {}
     if any(vector.values()):
         print(_format_vector_stats(vector))
+    trials = stats.get("trials")
+    if trials is not None:
+        print(
+            f"trial paths: carriers={trials.get('carriers', 0)} "
+            f"forked={trials.get('forked', 0)} "
+            f"trapped={trials.get('trapped', 0)}"
+        )
     if stats.get("service") is not None:
         print(_format_service_stats(stats["service"]))
     line = _format_store_stats(stats.get("store") or {})

@@ -167,7 +167,10 @@ class _SegmentRunner:
             # Injector-bearing memory always takes the scalar path (the
             # vector guard checks memory.injector); fault-free segment
             # runs — and every replay after the one-shot fault fired on
-            # an injector-free image — may dispatch vectorized.
+            # an injector-free image — may dispatch vectorized.  A
+            # one-shot injector may run on the inline body's load trap;
+            # the kernel re-attaches it after each segment, so a trigger
+            # in a later segment still fires.
             return kernel.execute(
                 params,
                 memory=self.memory,

@@ -60,11 +60,19 @@ On top of that baseline the emitter runs the optimization pipeline of
   disappears and cache hits re-count their index arithmetic without
   touching memory, exactly as the interpreter's dict hit would.
 * **inlined memory** (``inline_mem``) — a second kernel body with
-  bounds checks and word-array accesses inlined, used only when no
-  fault injector is attached (the selection happens at run time in
+  bounds checks and word-array accesses inlined, used when no fault
+  injector is attached and for one-shot injectors on *trap-exact*
+  bodies (the selection happens at run time in
   :class:`~repro.runtime.compile.CompiledKernel`); out-of-bounds
   accesses fall back to the :class:`Memory` methods so wild-read and
-  strict-mode semantics stay identical.
+  strict-mode semantics stay identical.  Each inlined load bumps a
+  local counter ``_lc`` and compares it with a load trap, ``_trap``,
+  before reading the word; when the trap springs, ``_trip`` lets the
+  injector act on that very access and returns the next trap.  The
+  body is trap-exact when every load site is inlined (no
+  :class:`Memory` method loads, which count outside ``_lc``): the
+  compiler reads that from the ``_TRAP_EXACT`` flag emitted after the
+  function.
 
 Programs using features the emitter does not model (``register_budget``
 spill simulation is handled one level up, in
@@ -207,6 +215,10 @@ class _Emitter:
                 rank = len(getattr(decl, "dims", ()) or ())
                 if rank <= 2:
                     self._region_local[decl.name] = (i, rank)
+        # Inline body only: stays true while every load site emitted so
+        # far is inlined, so the local ``_lc`` is the exact load ordinal
+        # (minus the memory's own count) and the load trap is exact.
+        self.trap_exact = True
 
     # -- low-level helpers ------------------------------------------------
     def out(self, line: str) -> None:
@@ -440,10 +452,18 @@ class _Emitter:
         Memory-side load counting is handled here (inline arm bumps the
         local ``_lc``; the method fallback self-counts) — OpCounts'
         ``loads`` bucket is the caller's job.
+
+        Every inlined load checks the load trap before it reads the
+        word: once ``_lc`` reaches ``_trap``, ``_trip`` lets a one-shot
+        injector act on this access (it may flip the very word about to
+        be read) and returns the next trap.  A wild access takes the
+        :class:`Memory` fallback, which counts itself, so the trap
+        moves one load closer to keep ``_lc`` and the ordinal in step.
         """
         info = self._region_local.get(name)
         idx = self._tuple_atom(idx_atoms)
         if info is None or info[1] != len(idx_atoms):
+            self.trap_exact = False
             bits = self.tmp()
             if need_addr:
                 addr = self.tmp()
@@ -454,7 +474,8 @@ class _Emitter:
         ri, rank = info
         bits = self.tmp()
         if rank == 0:
-            self.out(f"_lc += 1; {bits} = _w{ri}[0]")
+            self._emit_trap(name, "()")
+            self.out(f"{bits} = _w{ri}[0]")
             return bits, (f"_b{ri}" if need_addr else None)
         atoms = [self._simple(a) for a in idx_atoms]
         idx = self._tuple_atom(atoms)
@@ -462,27 +483,41 @@ class _Emitter:
         if rank == 1:
             o = atoms[0]
             self.out(f"if 0 <= {o} < _d{ri}_0:")
-            self.out(f"    _lc += 1; {bits} = _w{ri}[{o}]")
+            self.depth += 1
+            self._emit_trap(name, idx)
+            self.out(f"{bits} = _w{ri}[{o}]")
             if need_addr:
-                self.out(f"    {addr} = _b{ri} + {o} * 8")
+                self.out(f"{addr} = _b{ri} + {o} * 8")
         else:
             i, j = atoms
-            self.out(
-                f"if 0 <= {i} < _d{ri}_0 and 0 <= {j} < _d{ri}_1:"
-            )
+            self.out(f"if 0 <= {i} < _d{ri}_0 and 0 <= {j} < _d{ri}_1:")
+            self.depth += 1
+            self._emit_trap(name, idx)
             if need_addr:
                 off = self.tmp()
-                self.out(f"    {off} = {i} * _d{ri}_1 + {j}")
-                self.out(f"    _lc += 1; {bits} = _w{ri}[{off}]")
-                self.out(f"    {addr} = _b{ri} + {off} * 8")
+                self.out(f"{off} = {i} * _d{ri}_1 + {j}")
+                self.out(f"{bits} = _w{ri}[{off}]")
+                self.out(f"{addr} = _b{ri} + {off} * 8")
             else:
-                self.out(f"    _lc += 1; {bits} = _w{ri}[{i} * _d{ri}_1 + {j}]")
+                self.out(f"{bits} = _w{ri}[{i} * _d{ri}_1 + {j}]")
+        self.depth -= 1
         self.out("else:")
         if need_addr:
-            self.out(f"    {bits}, {addr} = _lba({name!r}, {idx})")
+            self.out(f"    {bits}, {addr} = _lba({name!r}, {idx}); _trap -= 1")
         else:
-            self.out(f"    {bits} = _lb({name!r}, {idx})")
+            self.out(f"    {bits} = _lb({name!r}, {idx}); _trap -= 1")
         return bits, addr
+
+    def _method_load(self, line: str) -> None:
+        """Emit a load through a :class:`Memory` method: it counts
+        itself, outside ``_lc``, so the load trap is no longer exact."""
+        self.trap_exact = False
+        self.out(line)
+
+    def _emit_trap(self, name: str, idx: str) -> None:
+        """One inlined load event: count it, then check the load trap."""
+        self.out("_lc += 1")
+        self.out(f"if _lc >= _trap: _trap = _trip(_lc, {name!r}, {idx})")
 
     def _emit_raw_store(
         self, name: str, idx_atoms: list[str], bits_atom: str, need_addr: bool
@@ -1146,7 +1181,7 @@ class _Emitter:
                     f"while counter {stmt.counter!r} is not a scalar"
                 )
             cur = self.tmp()
-            self.out(f"{cur} = _mload({stmt.counter!r}, ())")
+            self._method_load(f"{cur} = _mload({stmt.counter!r}, ())")
             self.out(f"_mstore({stmt.counter!r}, (), int({cur}) + 1)")
             self.count("loads")
             self.count("stores")
@@ -1290,7 +1325,7 @@ class _Emitter:
         if name not in self.array_types and name not in self.scalar_types:
             raise CompileError(f"counter region {name!r} not declared")
         cur = self.tmp()
-        self.out(f"{cur} = int(_mload({name!r}, {loc}))")
+        self._method_load(f"{cur} = int(_mload({name!r}, {loc}))")
         self.out(f"_mstore({name!r}, {loc}, {cur} + {amount_atom})")
         self.count("loads")
         self.count("stores")
@@ -1414,7 +1449,7 @@ class _Emitter:
         if name not in self.array_types and name not in self.scalar_types:
             raise CompileError(f"counter region {name!r} not declared")
         cv = self.tmp()
-        self.out(f"{cv} = int(_mload({name!r}, {loc}))")
+        self._method_load(f"{cv} = int(_mload({name!r}, {loc}))")
         self.count("loads")
         self.count("counter_ops")
         self._emit_csadd(
@@ -1522,6 +1557,8 @@ def generate_source(program: Program, opt: OptConfig | None = None) -> str:
                 em.out(f"_d{ri}_0, _d{ri}_1 = _R{ri}.shape")
         em.out("_lc = 0")
         em.out("_sc = 0")
+        em.out("_trap = _rt.trap")
+        em.out("_trip = _rt.trip")
     em.out("_cs = _rt.checksums")
     em.out("_csadd = _cs.add")
     em.out("_verify = _cs.verify")
@@ -1566,7 +1603,13 @@ def generate_source(program: Program, opt: OptConfig | None = None) -> str:
     em.out("_rt.first_detection_step = _first")
     em.depth -= 1
     header = "def _kernel(_rt):\n"
-    return header + "\n".join(em.lines) + "\n"
+    source = header + "\n".join(em.lines) + "\n"
+    if opt.inline_mem:
+        # Read back by the compiler (and by a disk-cached kernel, whose
+        # sources are all it keeps): may one-shot injected runs take
+        # this body?
+        source += f"_TRAP_EXACT = {em.trap_exact}\n"
+    return source
 
 
 def generate_checkpoint_source(program: Program) -> str:

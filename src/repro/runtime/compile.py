@@ -52,6 +52,7 @@ from repro.runtime.memory import (
     encode_value,
 )
 from repro.runtime.state import ChecksumState
+from repro.service.store import TRIAL_PATHS
 
 __all__ = [
     "CompileError",
@@ -92,6 +93,8 @@ class _RuntimeContext:
         "halt_on_mismatch",
         "statements_executed",
         "first_detection_step",
+        "trap",
+        "trip",
     )
 
     def __init__(
@@ -111,6 +114,45 @@ class _RuntimeContext:
         self.halt_on_mismatch = halt_on_mismatch
         self.statements_executed = 0
         self.first_detection_step: int | None = None
+        # The inline body's load trap (see :func:`_arm_trap`).
+        self.trap = _NO_TRAP
+        self.trip = None
+
+
+#: A load trap the inline body's ``_lc`` never reaches.
+_NO_TRAP = 1 << 62
+
+
+def _arm_trap(rt: _RuntimeContext, memory: Memory, injector) -> None:
+    """Set the inline body's load trap for a one-shot ``injector``.
+
+    The body keeps its load count in the local ``_lc`` and adds it to
+    ``memory.load_count`` only when it returns, so a trap is relative:
+    the injector's load ordinal minus what the memory has counted
+    itself.  ``_trip`` publishes the exact ordinal for the injector's
+    one call, then hands the body its next trap (none, for a one-shot
+    injector that acted)."""
+
+    def relative(at) -> int:
+        if at is None:
+            return _NO_TRAP
+        kind, ordinal = at
+        if kind != "load":
+            raise ValueError(f"one-shot injector armed at a {kind}")
+        return ordinal - memory.load_count
+
+    def trip(lc, name, indices):
+        memory.load_count += lc
+        try:
+            injector.before_load(
+                memory, name, indices, memory.peek_bits(name, indices)
+            )
+        finally:
+            memory.load_count -= lc
+        return relative(injector.arms_at())
+
+    rt.trap = relative(injector.arms_at())
+    rt.trip = trip
 
 
 def _slimit(rt: _RuntimeContext) -> None:
@@ -202,9 +244,13 @@ class CompiledKernel:
     #: Optimization level the sources were generated at.
     opt_level: int = DEFAULT_OPT_LEVEL
     #: Level ≥ 2 only: the inlined-memory fast entry, selected at run
-    #: time when no fault injector is attached to the memory image.
+    #: time when no fault injector is attached to the memory image, or
+    #: a one-shot one is and the body is :attr:`trap_exact`.
     fast_source: str | None = None
     fast_entry: Callable[[_RuntimeContext], None] | None = None
+    #: Every load site of the fast entry is inlined, so its load trap
+    #: fires on the exact ordinal (see :mod:`repro.runtime.codegen`).
+    trap_exact: bool = False
     #: Vector backend: whole-array plan, built lazily on the first
     #: injector-free dispatch (``None`` once built = unplannable).
     vector_plan: object = None
@@ -336,19 +382,33 @@ class CompiledKernel:
             halt_on_mismatch=halt_on_mismatch,
         )
         # The inlined-memory entry bypasses the injector observation
-        # points, so it only ever runs on injector-free memory (golden
-        # runs, benchmarks).
+        # points: it runs on injector-free memory (golden runs,
+        # benchmarks), and for a one-shot injector, which it calls once
+        # from its load trap.  The injector is detached meanwhile (no
+        # Memory method may call it a second time) and re-attached
+        # after, for whoever runs this memory next (recovery segments).
         entry = self.entry
+        trapped = None
         if self.fast_entry is not None and memory.injector is None:
             entry = self.fast_entry
-        if probe_key is not None:
-            started = time.perf_counter()
-            entry(rt)
-            _vec.record_profit(
-                probe_key, probe_seconds, time.perf_counter() - started
-            )
-        else:
-            entry(rt)
+        elif self.trap_exact and getattr(memory.injector, "one_shot", False):
+            entry = self.fast_entry
+            trapped = memory.injector
+            _arm_trap(rt, memory, trapped)
+            memory.injector = None
+            TRIAL_PATHS["trapped"] += 1
+        try:
+            if probe_key is not None:
+                started = time.perf_counter()
+                entry(rt)
+                _vec.record_profit(
+                    probe_key, probe_seconds, time.perf_counter() - started
+                )
+            else:
+                entry(rt)
+        finally:
+            if trapped is not None:
+                memory.injector = trapped
         result = ExecutionResult(
             checksums=rt.checksums,
             mismatches=rt.mismatches,
@@ -474,6 +534,7 @@ def _assemble_kernel(
         namespace,
     )
     fast_entry = None
+    trap_exact = False
     if fast_source is not None:
         # Separate namespace: both sources define ``_kernel``.
         fast_namespace = dict(_BASE_NAMESPACE)
@@ -484,6 +545,7 @@ def _assemble_kernel(
             fast_namespace,
         )
         fast_entry = fast_namespace["_kernel"]
+        trap_exact = fast_namespace.get("_TRAP_EXACT", False)
     return CompiledKernel(
         program=program,
         digest=digest,
@@ -495,6 +557,7 @@ def _assemble_kernel(
         opt_level=level,
         fast_source=fast_source,
         fast_entry=fast_entry,
+        trap_exact=trap_exact,
     )
 
 
@@ -565,7 +628,8 @@ def compile_program(
 
     ``opt_level`` selects the optimization pipeline (default
     :data:`DEFAULT_OPT_LEVEL`); at level ≥ 2 the kernel carries a second
-    inlined-memory entry used only on injector-free runs.  Raises
+    inlined-memory entry used on injector-free runs and, when the entry
+    is trap-exact, on one-shot injected runs.  Raises
     :class:`CompileError` when the program cannot be lowered; the
     failure itself is cached so repeated attempts stay cheap.
 

@@ -77,6 +77,11 @@ class AddressGenerationFault(FaultInjector):
     def injected(self) -> bool:
         return self.record is not None
 
+    def arms_at(self):
+        if self.record is not None or self.no_targets:
+            return None
+        return (self.mode, self.trigger)
+
     def _targetable(self, memory, name: str) -> bool:
         if self.target_arrays is not None:
             return name in self.target_arrays

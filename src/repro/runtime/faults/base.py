@@ -79,6 +79,22 @@ class FaultInjector:
         """May replace the index tuple a store writes to (same region)."""
         return None
 
+    one_shot: bool = False
+    """Whether the injector acts only inside :meth:`before_load`, on
+    the load whose ordinal :meth:`arms_at` names, and touches no other
+    hook.  The compiled backend then runs such an injector on the
+    inlined-memory kernel body, calling it once at a load trap instead
+    of on every access (:class:`~repro.runtime.compile.CompiledKernel`)."""
+
+    def arms_at(self) -> tuple[str, int] | None:
+        """The access at which this injector may first act:
+        ``("load", n)`` or ``("store", n)`` for the n-th load or store
+        event of the run, or ``None`` when it will not act (or cannot
+        say).  Before that access every hook is inert, so the run up to
+        it equals a fault-free run — which lets a campaign execute that
+        prefix once for many trials.  Re-read after the injector acts."""
+        return None
+
     def describe(self) -> str:
         return type(self).__name__
 

@@ -69,6 +69,12 @@ class IntermittentStuckBit(FaultInjector):
     def injected(self) -> bool:
         return self.record is not None
 
+    def arms_at(self):
+        # Once armed the defect acts on every access of its window.
+        if self.record is not None or self.no_targets:
+            return None
+        return ("load", self.start)
+
     def _force(self, word: int) -> int:
         if self._value:
             return word | (1 << self._bit)

@@ -15,6 +15,12 @@ this.
   but ``burst_cells`` *consecutive* cells (row-major) each lose
   ``num_bits`` random bits, modelling a multi-cell upset along a DRAM
   row.
+
+:class:`RandomCellFlipper` and :class:`BurstCorruption` are *one-shot*
+(:attr:`~repro.runtime.faults.FaultInjector.one_shot`): they act once,
+inside ``before_load`` of their trigger load, which ``arms_at`` names
+— so the compiled backend can run them on its inline kernel body,
+calling them once from a load trap.
 """
 
 from __future__ import annotations
@@ -105,11 +111,18 @@ class RandomCellFlipper(FaultInjector):
             self.trigger = rng.randint(1, expected_loads)
         self.rng = rng
 
+    one_shot = True
+
     @property
     def injected(self) -> bool:
         """Whether a fault actually landed (False also when the program
         performed no loads, so the trigger never fired)."""
         return self.record is not None
+
+    def arms_at(self):
+        if self.record is not None or self.no_targets:
+            return None
+        return ("load", self.trigger)
 
     def before_load(self, memory, name, indices, word):
         if (
@@ -175,9 +188,16 @@ class BurstCorruption(FaultInjector):
             self.trigger = rng.randint(1, expected_loads)
         self.rng = rng
 
+    one_shot = True
+
     @property
     def injected(self) -> bool:
         return self.record is not None
+
+    def arms_at(self):
+        if self.record is not None or self.no_targets:
+            return None
+        return ("load", self.trigger)
 
     def before_load(self, memory, name, indices, word):
         if (

@@ -15,9 +15,12 @@ which passes run during lowering.  Three user-facing levels:
 * **2** — level 1 plus an inlined-memory fast kernel: a second
   compiled entry with bounds checks and word array accesses inlined
   (no :class:`Memory` method calls on the hot path), selected at run
-  time only when no fault injector is attached — injected runs take
-  the level-1 entry, so every injector observation point is preserved
-  verbatim.
+  time when no fault injector is attached, or when a one-shot injector
+  is (``random_cell``, ``burst``) and the entry is trap-exact — it
+  then calls the injector once, from a load trap.  Every other
+  injected run takes the level-1 entry, so every injector observation
+  point is preserved verbatim.  Levels 0 and 1 have no inline entry,
+  so their one-shot trials run hooked too.
 
 Every pass is bound by the bit-identity contract spelled out in
 :mod:`repro.runtime.opt.analysis`: identical load/store event order,

@@ -169,11 +169,14 @@ def _worker_main(conn, spec_dict: dict) -> None:
             if prepared is None:
                 prepared = spec.prepare()
             buffer = []
-            for record in _execute_trials(spec, prepared, indices):
+
+            def stream(record) -> None:
                 buffer.append(record)
                 if len(buffer) >= RECORD_CHUNK:
-                    conn.send(("records", buffer))
-                    buffer = []
+                    conn.send(("records", buffer[:]))
+                    buffer.clear()
+
+            _execute_trials(spec, prepared, indices, stream)
             if buffer:
                 conn.send(("records", buffer))
             now = counters_snapshot()

@@ -307,12 +307,23 @@ def store_counters() -> dict[str, dict[str, int]]:
     }
 
 
+#: How injected trials ran in this process (monotone): ``carriers``
+#: counts shared golden-prefix passes, ``forked`` the trials finished in
+#: a child forked off a carrier, and ``trapped`` the kernel runs that
+#: took the inline body with a one-shot injector on its load trap.
+TRIAL_PATHS = {"carriers": 0, "forked": 0, "trapped": 0}
+
+
 def counters_snapshot() -> dict[str, dict]:
-    """Everything a campaign worker reports deltas of: store counters
-    plus the vector backend's dispatch counters."""
+    """Everything a campaign worker reports deltas of: store counters,
+    the vector backend's dispatch counters and the trial paths."""
     from repro.runtime.vector import vector_stats
 
-    return {"store": store_counters(), "vector": dict(vector_stats())}
+    return {
+        "store": store_counters(),
+        "vector": dict(vector_stats()),
+        "trials": dict(TRIAL_PATHS),
+    }
 
 
 def _diff_flat(now: dict, base: dict) -> dict[str, int]:
@@ -334,6 +345,7 @@ def counters_delta(now: dict, base: dict | None) -> dict:
             for name, flat in now.get("store", {}).items()
         },
         "vector": _diff_flat(now.get("vector", {}), base.get("vector", {})),
+        "trials": _diff_flat(now.get("trials", {}), base.get("trials", {})),
     }
 
 
@@ -344,9 +356,10 @@ def counters_add(total: dict, delta: dict) -> dict:
         into = total.setdefault("store", {}).setdefault(name, {})
         for key, value in flat.items():
             into[key] = into.get(key, 0) + value
-    vector = total.setdefault("vector", {})
-    for key, value in delta.get("vector", {}).items():
-        vector[key] = vector.get(key, 0) + value
+    for group in ("vector", "trials"):
+        into = total.setdefault(group, {})
+        for key, value in delta.get(group, {}).items():
+            into[key] = into.get(key, 0) + value
     return total
 
 

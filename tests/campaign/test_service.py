@@ -1,26 +1,37 @@
-"""Sharded-campaign contracts: bit-identity, crash reissue, warm store.
+"""Campaign orchestration contracts: bit-identity, crash reissue,
+forked trials, warm store.
 
-``run_campaign(workers=N)`` with N > 1 hands shards of the pending
-trials to worker processes through the shard dispatcher.  The record
-set must equal the in-process ``workers=1`` reference for every fault
-model, backend, ``--prune static`` and ``recover=True``, in memory and
-in the JSONL log; a worker killed mid-shard costs a reissue, never a
-record; and a warm second run over a shared disk store is nearly pure
-cache hits.
+``run_campaign(workers=N)`` runs in-process for N = 1 and otherwise
+hands shards of the pending trials to worker processes through the
+shard dispatcher; either way injected trials may fork off a shared
+carrier pass at their triggers (:mod:`repro.campaign.carrier`).  The
+record set must equal per-index :func:`replay_trial` records for every
+fault model, backend, ``--prune static`` and ``recover=True``, with
+forking forced on and off, in memory and in the JSONL log; a worker
+killed mid-shard costs a reissue, never a record; a forked child
+touches neither the log nor the worker pipe; and a warm second run
+over a shared disk store is nearly pure cache hits.
 """
 
 import functools
 import json
+import math
+import os
 import random
+import signal
+import time
 
 import pytest
 
+from repro.analysis.oracle import StaticOracle
 from repro.campaign import (
     ChecksumCampaignSpec,
     ProgramCampaignSpec,
+    carrier,
     read_log,
     run_campaign,
 )
+from repro.campaign.engine import replay_trial
 from repro.runtime.faults import FAULT_MODELS
 from repro.service import (
     ENV_STORE_DIR,
@@ -69,16 +80,57 @@ def serial_reference(spec):
     return canonical(run_campaign(spec, workers=1).records)
 
 
-def assert_matches_serial(spec, workers, tmp_path):
-    """Sharded run == serial reference, in memory and in the log."""
+@functools.lru_cache(maxsize=None)
+def replay_reference(spec):
+    """Every index replayed alone (statically predicted indices as the
+    oracle predicts them): what any campaign run of ``spec`` must
+    record, however its trials were scheduled."""
+    oracle = None
+    if getattr(spec, "prune", "none") == "static":
+        oracle = StaticOracle(spec, spec.prepare())
+    records = []
+    for index in range(spec.trials):
+        predicted = oracle.predict(index) if oracle is not None else None
+        records.append(predicted or replay_trial(spec, index))
+    return canonical(records)
+
+
+@pytest.fixture(params=("fork", "plain"))
+def fork_gate(request, monkeypatch):
+    """Force the carrier's fork gate open (a fork costs nothing) or
+    shut (a fork costs forever); forked workers inherit the patch."""
+    cost = 0.0 if request.param == "fork" else math.inf
+    monkeypatch.setattr(carrier, "_fork_cost_s", cost)
+    return request.param
+
+
+@pytest.fixture
+def fork_on(monkeypatch):
+    monkeypatch.setattr(carrier, "_fork_cost_s", 0.0)
+
+
+def assert_matches_replay(spec, workers, tmp_path, gate):
+    """A campaign run == per-index replays, in memory and in the log."""
     log = str(tmp_path / f"w{workers}.jsonl")
     result = run_campaign(spec, workers=workers, log_path=log)
-    expected = serial_reference(spec)
+    expected = replay_reference(spec)
     assert canonical(result.records) == expected
     contents = read_log(log)
     assert not contents.truncated
-    assert canonical(contents.records) == expected
-    assert result.service is not None and result.service["workers"] == workers
+    assert canonical(sorted(contents.records, key=lambda r: r.index)) == (
+        expected
+    )
+    assert contents.stats["trials"] == result.trials
+    if workers > 1:
+        assert result.service["workers"] == workers
+    forked = result.trials["forked"]
+    if gate == "plain" or isinstance(spec, ChecksumCampaignSpec):
+        assert forked == 0
+    elif workers == 1 and not spec.recover:
+        # One carrier for the in-process call; every trial but the one
+        # it took over itself (and any without a trigger) forked.
+        assert result.trials["carriers"] == 1
+        assert forked >= 1
     return result
 
 
@@ -94,21 +146,21 @@ def _program_spec(**kwargs):
     return ProgramCampaignSpec(**defaults)
 
 
-WORKERS = (2, 3)
+WORKERS = (1, 2, 3)
 
 
 @pytest.mark.parametrize("workers", WORKERS)
 class TestBitIdentity:
-    """Sharded campaign == in-process campaign, canonically."""
+    """Every orchestration == per-index replay, canonically."""
 
     def test_checksum_campaign(self, workers, tmp_path):
-        assert_matches_serial(CHECKSUM_SPEC, workers, tmp_path)
+        assert_matches_replay(CHECKSUM_SPEC, workers, tmp_path, "plain")
 
-    def test_program_campaign(self, workers, tmp_path):
-        assert_matches_serial(_program_spec(), workers, tmp_path)
+    def test_program_campaign(self, workers, fork_gate, tmp_path):
+        assert_matches_replay(_program_spec(), workers, tmp_path, fork_gate)
 
     @pytest.mark.parametrize("model", FAULT_MODELS)
-    def test_every_fault_model(self, workers, model, tmp_path):
+    def test_every_fault_model(self, workers, model, fork_gate, tmp_path):
         spec = ProgramCampaignSpec(
             trials=6,
             seed=31,
@@ -116,15 +168,15 @@ class TestBitIdentity:
             scale="small",
             fault_model=model,
         )
-        assert_matches_serial(spec, workers, tmp_path)
+        assert_matches_replay(spec, workers, tmp_path, fork_gate)
 
     @pytest.mark.parametrize("backend", ("interp", "compiled", "vector"))
-    def test_every_backend(self, workers, backend, tmp_path):
+    def test_every_backend(self, workers, backend, fork_gate, tmp_path):
         spec = _program_spec(backend=backend)
-        assert_matches_serial(spec, workers, tmp_path)
+        assert_matches_replay(spec, workers, tmp_path, fork_gate)
 
-    def test_static_prune(self, workers, tmp_path):
-        # Half of these trials are predicted; the rest are sharded.
+    def test_static_prune(self, workers, fork_gate, tmp_path):
+        # Half of these trials are predicted; the rest are executed.
         spec = ProgramCampaignSpec(
             trials=12,
             seed=9,
@@ -132,12 +184,12 @@ class TestBitIdentity:
             scale="small",
             prune="static",
         )
-        result = assert_matches_serial(spec, workers, tmp_path)
+        result = assert_matches_replay(spec, workers, tmp_path, fork_gate)
         assert 0 < result.pruned == run_campaign(spec, workers=1).pruned
 
-    def test_recovery_campaign(self, workers, tmp_path):
+    def test_recovery_campaign(self, workers, fork_gate, tmp_path):
         spec = _program_spec(trials=6, recover=True)
-        assert_matches_serial(spec, workers, tmp_path)
+        assert_matches_replay(spec, workers, tmp_path, fork_gate)
 
 
 class TestLogAndResume:
@@ -236,12 +288,46 @@ class _CrashingEndpoint:
         await self._inner.close()
 
 
+def _record_child_pids(monkeypatch, path):
+    """Make every forked trial child note its pid before it exits."""
+    finish = carrier._ForkPoint.finish_child
+
+    def noting(self, result, error):
+        with open(path, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        finish(self, result, error)
+
+    monkeypatch.setattr(carrier._ForkPoint, "finish_child", noting)
+
+
+def _alive(pid: int) -> bool:
+    """Running (not exited or a zombie awaiting its reaper)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+#: Every kill point on the plain path; every other one with forks
+#: forced on (each of the 512 small trials then pays a whole fork).
+CRASH_CASES = [("plain", *point) for point in CRASH_POINTS] + [
+    ("fork", *point) for point in CRASH_POINTS[::2]
+]
+
+
 class TestCrashReissue:
-    @pytest.mark.parametrize("target,after", CRASH_POINTS)
+    @pytest.mark.parametrize("gate,target,after", CRASH_CASES)
     def test_killed_worker_reissues_missing_indices(
-        self, target, after, tmp_path
+        self, gate, target, after, monkeypatch, tmp_path
     ):
+        monkeypatch.setattr(
+            carrier, "_fork_cost_s", 0.0 if gate == "fork" else math.inf
+        )
         log = str(tmp_path / "crash.jsonl")
+        children = tmp_path / "children.txt"
+        _record_child_pids(monkeypatch, children)
         crash = {"target": target, "after": after}
         result = run_campaign(
             CRASH_SPEC,
@@ -258,6 +344,16 @@ class TestCrashReissue:
         assert canonical(result.records) == expected
         logged = sorted(read_log(log).records, key=lambda r: r.index)
         assert canonical(logged) == expected
+        if gate == "plain":
+            return
+        assert result.trials["forked"] > 0
+        # A child orphaned by the kill runs out its own suffix and
+        # exits; it never reports through the dead worker's pipe.
+        pids = [int(line) for line in children.read_text().split()]
+        deadline = time.monotonic() + 30
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids))
 
     def test_persistent_failure_gives_up(self):
         class _DeadEndpoint:
@@ -278,6 +374,85 @@ class TestCrashReissue:
                 workers=2,
                 endpoint_factory=lambda: _DeadEndpoint(),
             )
+
+
+class TestForkedTrials:
+    """The fork path's process hygiene and failure transport."""
+
+    SPEC = ProgramCampaignSpec(
+        trials=10, seed=5, benchmark="cholesky", scale="small"
+    )
+
+    def test_children_leave_the_log_alone(self, fork_on, tmp_path):
+        # Each child inherits the driver's buffered log handle with
+        # unflushed records in it; flushing it would duplicate lines.
+        log = tmp_path / "forked.jsonl"
+        result = run_campaign(self.SPEC, workers=1, log_path=str(log))
+        assert result.trials["forked"] > 0
+        lines = log.read_text().splitlines()
+        kinds = [json.loads(line)["type"] for line in lines]
+        assert kinds == ["header"] + ["trial"] * self.SPEC.trials + ["stats"]
+        logged = sorted(read_log(str(log)).records, key=lambda r: r.index)
+        assert canonical(logged) == replay_reference(self.SPEC)
+
+    def _earliest_trigger(self):
+        prepared = self.SPEC.prepare()
+        return min(
+            range(self.SPEC.trials),
+            key=lambda i: self.SPEC.trial_injector(i, prepared)[1].arms_at(),
+        )
+
+    def _failing(self, monkeypatch, index, failure, where):
+        classify = ProgramCampaignSpec.classify_trial
+
+        def failing(spec, trial_index, *args):
+            if trial_index == index:
+                where.write_text(str(os.getpid()))
+                failure()
+            return classify(spec, trial_index, *args)
+
+        monkeypatch.setattr(ProgramCampaignSpec, "classify_trial", failing)
+
+    @pytest.mark.parametrize("gate", ("fork", "plain"))
+    def test_child_exception_surfaces_unchanged(
+        self, gate, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            carrier, "_fork_cost_s", 0.0 if gate == "fork" else math.inf
+        )
+        index = self._earliest_trigger()
+        where = tmp_path / "pid"
+
+        def boom():
+            raise ZeroDivisionError(f"trial {index} went wrong")
+
+        self._failing(monkeypatch, index, boom, where)
+        with pytest.raises(ZeroDivisionError) as raised:
+            run_campaign(self.SPEC, workers=1)
+        assert str(raised.value) == f"trial {index} went wrong"
+        # Same exception either way, raised in a child only when forked.
+        in_child = int(where.read_text()) != os.getpid()
+        assert in_child == (gate == "fork")
+
+    def test_child_killed_by_signal_fails_the_campaign(
+        self, fork_on, monkeypatch, tmp_path
+    ):
+        index = self._earliest_trigger()
+        where = tmp_path / "pid"
+        self._failing(
+            monkeypatch,
+            index,
+            lambda: os.kill(os.getpid(), signal.SIGKILL),
+            where,
+        )
+        log = tmp_path / "killed.jsonl"
+        with pytest.raises(carrier.ChildTrialFailed, match=f"trial {index}"):
+            run_campaign(self.SPEC, workers=1, log_path=str(log))
+        assert int(where.read_text()) != os.getpid()
+        # Whatever streamed before the failure is intact; the killed
+        # index is missing, so a resume re-runs it.
+        logged = read_log(str(log)).records
+        assert index not in {record.index for record in logged}
 
 
 class TestWarmStore:

@@ -114,3 +114,99 @@ def test_backend_field_does_not_change_trial_seeds():
     assert interp.seed == compiled.seed
     assert interp.digest() != compiled.digest()
     assert interp.golden_digest() != compiled.golden_digest()
+
+
+# ----------------------------------------------------------------------
+# The trap body: one-shot injectors on the inline kernel entry
+# ----------------------------------------------------------------------
+ONE_SHOT_MODELS = ("random_cell", "burst")
+IRREGULAR = ("cg", "moldyn")
+TRAP_EXACT = [name for name in BENCHMARKS if name not in IRREGULAR]
+
+
+def _trapped() -> int:
+    from repro.service.store import TRIAL_PATHS
+
+    return TRIAL_PATHS["trapped"]
+
+
+@pytest.mark.parametrize("name", TRAP_EXACT)
+@pytest.mark.parametrize("model", ONE_SHOT_MODELS)
+def test_trap_body_matches_interpreter(model, name, monkeypatch):
+    """Every compiled trial of a one-shot model on a trap-exact kernel
+    runs on the inline body's load trap — and equals the interpreter."""
+    import math
+
+    from repro.campaign import carrier
+
+    # No forks: each trial is its own trapped kernel run.
+    monkeypatch.setattr(carrier, "_fork_cost_s", math.inf)
+    compiled = _spec(
+        model, name, "compiled", trials=4, seed=SEEDS[model] + 7
+    )
+    assert compiled.prepare().kernel.trap_exact
+    before = _trapped()
+    records = _canonical_records(compiled)
+    assert _trapped() - before == compiled.trials
+    interp = replace(compiled, backend="interp")
+    assert records == _canonical_records(interp)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
+def test_trap_exactness(name):
+    """Only level-2 kernels whose every load site is inlined may run
+    injected trials on the inline body: the eight affine benchmarks.
+    cg and moldyn load through Memory methods, and levels 0 and 1 have
+    no inline entry at all."""
+    from repro.runtime.compile import compile_program
+
+    program = _spec("random_cell", name, "compiled").prepare().program
+    for level in (0, 1):
+        assert not compile_program(program, opt_level=level).trap_exact
+    assert compile_program(program, opt_level=2).trap_exact == (
+        name not in IRREGULAR
+    )
+
+
+def test_recovery_trigger_after_first_segment():
+    """A one-shot fault that fires in a later epoch segment: the trap
+    body detaches the injector while a segment runs and must re-attach
+    it, or the next segment would run fault-free."""
+    import random
+
+    from repro.recovery import run_plan
+    from repro.runtime.faults import RandomCellFlipper
+
+    spec = _spec("random_cell", "lu", "compiled", trials=1, recover=True)
+    prepared = spec.prepare()
+    assert prepared.plan.mode == "epochs"
+
+    def run(backend):
+        injector = RandomCellFlipper(
+            num_bits=2,
+            expected_loads=prepared.total_loads,
+            rng=random.Random(11),
+            target_arrays=prepared.targets,
+        )
+        injector.trigger = prepared.total_loads - 3
+        before = _trapped()
+        outcome = run_plan(
+            prepared.plan,
+            prepared.params,
+            initial_values=prepared.values,
+            injector=injector,
+            wild_reads=True,
+            backend=backend,
+        )
+        return injector, outcome, _trapped() - before
+
+    injector, outcome, trapped = run("compiled")
+    assert trapped >= outcome.epochs > 1
+    assert injector.record is not None
+    assert injector.record.at_load == prepared.total_loads - 3
+    reference, expected, _ = run("interp")
+    assert injector.record == reference.record
+    assert outcome.epochs == expected.epochs
+    assert outcome.detected == expected.detected
+    assert outcome.replays == expected.replays
+    assert outcome.memory.snapshot() == expected.memory.snapshot()

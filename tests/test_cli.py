@@ -1,5 +1,7 @@
 """CLI tests (python -m repro)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -165,10 +167,31 @@ class TestCampaign:
         assert code == 0
         run_out = capsys.readouterr().out
         assert "trials" in run_out
+        paths = [
+            line
+            for line in run_out.splitlines()
+            if line.startswith("trial paths:")
+        ]
+        assert len(paths) == 1 and "carriers=1" in paths[0]
 
         assert main(["campaign", "report", log]) == 0
         report_out = capsys.readouterr().out
         assert "4/4 trials" in report_out
+        # The stats trailer carries the run's trial paths to the report.
+        assert paths[0] in report_out.splitlines()
+
+        # A trailer written before trial paths existed prints no line.
+        with open(log) as handle:
+            lines = handle.readlines()
+        trailer = json.loads(lines[-1])
+        del trailer["trials"]
+        lines[-1] = json.dumps(trailer) + "\n"
+        with open(log, "w") as handle:
+            handle.writelines(lines)
+        assert main(["campaign", "report", log]) == 0
+        old_out = capsys.readouterr().out
+        assert "artifact store:" in old_out
+        assert "trial paths" not in old_out
 
     def test_prune_static(self, capsys):
         code = main(
