@@ -1,40 +1,23 @@
-"""Backend shoot-out: interpreter vs compiled kernel vs vector backend.
+"""Backend shoot-out: interpreter vs compiled kernel.
 
-Times the execution backends on the instrumented (split + hoisted)
+Times the two execution backends on the instrumented (split + hoisted)
 builds of the 10 paper benchmarks — the exact programs a Figure 10
 campaign runs thousands of times — and writes ``BENCH_backends.json``.
-The compiled backend is timed at every requested ``--opt-levels``
-entry (default: 0, 1, 2), so the report shows both the
-interpreter-vs-compiled gap and what each optimizer level buys over
-the level-0 straight translation.  Compile time is reported
-separately from run time because campaigns pay it once per worker and
-amortize it over every trial.
-
-The vector column times the same kernel dispatched with
-``vectorize=True`` — the whole-array NumPy path injector-free runs
-(golden, replay baseline, recovery re-execution) take.  Each kernel is
-warmed up first so the probe-based profitability memo is already
-decided when the timed runs start; ``vector_used`` records whether the
-probe committed the vector path (un-engaged benchmarks fall back to
-scalar, so their vector time ≈ compiled time by construction).  The
-vector contract excludes the OpCounts breakdown, so the timing loop
-checks checksums and statement totals only.
+The compiled kernel runs its inlined-memory body here (the runs are
+injector-free, like a campaign's golden run).  Compile time is
+reported separately from run time because campaigns pay it once per
+worker and amortize it over every trial.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_backends.py
     PYTHONPATH=src python benchmarks/bench_backends.py --quick \
-        --fail-below 1.0 --fail-below-opt 1.2 --out BENCH_backends.json
+        --fail-below 1.0 --out BENCH_backends.json
 
 ``--fail-below X`` exits non-zero when the geometric-mean
-interpreter-vs-best-level speedup falls below ``X`` (CI uses 1.0:
-compiled must never be slower).  ``--fail-below-opt Y`` additionally
-gates the highest-level-vs-level-0 geomean (the optimizer win).
-``--fail-below-vector Z`` gates the vector-vs-compiled geomean over
-the *engaged* benchmarks (the ones whose probe committed the vector
-path — fallback benchmarks run scalar either way, so including them
-would let scalar noise mask a vector regression).
-See docs/BACKENDS.md for how to read the output.
+interpreter-vs-compiled speedup falls below ``X`` (CI uses 1.0:
+compiled must never be slower).  See docs/BACKENDS.md for how to read
+the output.
 """
 
 from __future__ import annotations
@@ -56,7 +39,6 @@ from repro.runtime.compile import (  # noqa: E402
     clear_kernel_cache,
     compile_program,
 )
-from repro.runtime import vector  # noqa: E402
 from repro.runtime.interpreter import run_program  # noqa: E402
 
 OPTIMIZED = InstrumentationOptions(
@@ -70,9 +52,7 @@ def _copy_values(values: dict) -> dict:
     }
 
 
-def bench_one(
-    name: str, scale: str, repeats: int, opt_levels: list[int]
-) -> dict:
+def bench_one(name: str, scale: str, repeats: int) -> dict:
     module = ALL_BENCHMARKS[name]
     program = module.program()
     params = dict(
@@ -82,90 +62,34 @@ def bench_one(
     program, _ = instrument_program(program, OPTIMIZED)
 
     clear_kernel_cache()
-    kernels = {}
-    compile_s = {}
-    for level in opt_levels:
-        start = time.perf_counter()
-        kernels[level] = compile_program(program, opt_level=level)
-        compile_s[level] = time.perf_counter() - start
+    start = time.perf_counter()
+    kernel = compile_program(program)
+    compile_s = time.perf_counter() - start
 
-    interp_s = float("inf")
-    level_s = {level: float("inf") for level in opt_levels}
-    reference = None
+    interp_s = compiled_s = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         ri = run_program(program, params, initial_values=_copy_values(values))
         interp_s = min(interp_s, time.perf_counter() - start)
-        if reference is None:
-            reference = ri
-        for level in opt_levels:
-            start = time.perf_counter()
-            rc = kernels[level].execute(
-                params, initial_values=_copy_values(values)
-            )
-            level_s[level] = min(level_s[level], time.perf_counter() - start)
-            # The timing loop doubles as a sanity check on the
-            # bit-identity contract (the differential suite is the
-            # authoritative test).
-            assert (
-                ri.counts == rc.counts
-            ), f"{name} L{level}: op counts diverge"
-            assert (
-                ri.checksums.sums == rc.checksums.sums
-            ), f"{name} L{level}: checksums diverge"
-    best = max(opt_levels)
-    base = min(opt_levels)
-
-    # Vector column: same kernel, vectorize=True.  Two warm-up runs
-    # settle the profitability memo (the first probes vector *and*
-    # scalar; the second takes whichever path won) so the timed loop
-    # below measures the steady-state dispatch a campaign sees.
-    kernel = kernels[best]
-    for _ in range(2):
-        kernel.execute(
-            params, initial_values=_copy_values(values), vectorize=True
-        )
-    vector.reset_stats()
-    vector_s = float("inf")
-    for _ in range(repeats):
         start = time.perf_counter()
-        rv = kernel.execute(
-            params, initial_values=_copy_values(values), vectorize=True
-        )
-        vector_s = min(vector_s, time.perf_counter() - start)
-        # OpCounts are outside the vector contract; checksums and the
-        # statement total are in it.
+        rc = kernel.execute(params, initial_values=_copy_values(values))
+        compiled_s = min(compiled_s, time.perf_counter() - start)
+        # The timing loop doubles as a sanity check on the bit-identity
+        # contract (the differential suite is the authoritative test).
+        assert ri.counts == rc.counts, f"{name}: op counts diverge"
         assert (
-            reference.checksums.sums == rv.checksums.sums
-        ), f"{name} vector: checksums diverge"
-        assert (
-            reference.statements_executed == rv.statements_executed
-        ), f"{name} vector: statement totals diverge"
-    vector_used = vector.vector_stats()["runs"] > 0
+            ri.checksums.sums == rc.checksums.sums
+        ), f"{name}: checksums diverge"
 
     return {
         "benchmark": name,
         "scale": scale,
         "params": params,
         "interp_s": interp_s,
-        "compiled_s": level_s[best],
-        "compile_s": compile_s[best],
-        "speedup": interp_s / level_s[best],
-        "levels": {
-            str(level): {
-                "run_s": level_s[level],
-                "compile_s": compile_s[level],
-                "speedup_vs_interp": interp_s / level_s[level],
-                "speedup_vs_l0": level_s[base] / level_s[level],
-            }
-            for level in opt_levels
-        },
-        "opt_speedup": level_s[base] / level_s[best],
-        "vector_s": vector_s,
-        "vector_used": vector_used,
-        "vector_speedup": level_s[best] / vector_s,
-        "vector_speedup_vs_interp": interp_s / vector_s,
-        "statements": reference.statements_executed,
+        "compiled_s": compiled_s,
+        "compile_s": compile_s,
+        "speedup": interp_s / compiled_s,
+        "statements": ri.statements_executed,
     }
 
 
@@ -196,36 +120,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", default="BENCH_backends.json")
     parser.add_argument(
-        "--opt-levels",
-        nargs="+",
-        type=int,
-        default=[0, 1, 2],
-        choices=(0, 1, 2),
-        help="optimizer levels to time (default: all three)",
-    )
-    parser.add_argument(
         "--fail-below",
         type=float,
         default=None,
         metavar="X",
-        help="exit 1 when the interp-vs-compiled geomean speedup "
-        "(at the highest level timed) is below X",
-    )
-    parser.add_argument(
-        "--fail-below-opt",
-        type=float,
-        default=None,
-        metavar="Y",
-        help="exit 1 when the highest-vs-lowest opt level geomean "
-        "speedup is below Y",
-    )
-    parser.add_argument(
-        "--fail-below-vector",
-        type=float,
-        default=None,
-        metavar="Z",
-        help="exit 1 when the vector-vs-compiled geomean speedup over "
-        "the probe-engaged benchmarks is below Z",
+        help="exit 1 when the interp-vs-compiled geomean speedup is "
+        "below X",
     )
     args = parser.parse_args(argv)
 
@@ -237,68 +137,30 @@ def main(argv: list[str] | None = None) -> int:
         scale = "small"
         repeats = 1
 
-    opt_levels = sorted(set(args.opt_levels))
     rows = []
     for name in names:
-        row = bench_one(name, scale, repeats, opt_levels)
+        row = bench_one(name, scale, repeats)
         rows.append(row)
-        per_level = " ".join(
-            f"L{level}={row['levels'][str(level)]['run_s']:.3f}s"
-            for level in opt_levels
-        )
-        vec_tag = "vec" if row["vector_used"] else "(scalar)"
         print(
             f"{row['benchmark']:<10} interp={row['interp_s']:8.3f}s "
-            f"{per_level} "
-            f"speedup={row['speedup']:6.2f}x "
-            f"opt={row['opt_speedup']:5.2f}x "
-            f"vector={row['vector_s']:.3f}s "
-            f"{row['vector_speedup']:5.2f}x {vec_tag}"
+            f"compiled={row['compiled_s']:.3f}s "
+            f"compile={row['compile_s']:.3f}s "
+            f"speedup={row['speedup']:6.2f}x"
         )
 
     summary = {
         "scale": scale,
         "repeats": repeats,
-        "opt_levels": opt_levels,
         "geomean_speedup": geomean([row["speedup"] for row in rows]),
-        "geomean_opt_speedup": geomean(
-            [row["opt_speedup"] for row in rows]
-        ),
-        "geomean_by_level": {
-            str(level): geomean(
-                [
-                    row["levels"][str(level)]["speedup_vs_l0"]
-                    for row in rows
-                ]
-            )
-            for level in opt_levels
-        },
         "total_interp_s": sum(row["interp_s"] for row in rows),
         "total_compiled_s": sum(row["compiled_s"] for row in rows),
     }
     summary["total_speedup"] = (
         summary["total_interp_s"] / summary["total_compiled_s"]
     )
-    # The headline vector number averages only the benchmarks whose
-    # probe committed the vector path; fallback benchmarks run the
-    # scalar kernel either way (speedup ≈ 1 by construction), so the
-    # all-benchmarks geomean is reported separately as the fleet-wide
-    # expectation rather than the backend's quality bar.
-    engaged = [row for row in rows if row["vector_used"]]
-    summary["vector_engaged"] = [row["benchmark"] for row in engaged]
-    summary["geomean_vector_speedup"] = geomean(
-        [row["vector_speedup"] for row in engaged]
-    )
-    summary["geomean_vector_speedup_all"] = geomean(
-        [row["vector_speedup"] for row in rows]
-    )
     print(
         f"{'geomean':<10} speedup={summary['geomean_speedup']:6.2f}x  "
-        f"total={summary['total_speedup']:.2f}x  "
-        f"opt={summary['geomean_opt_speedup']:.2f}x  "
-        f"vector={summary['geomean_vector_speedup']:.2f}x "
-        f"({len(engaged)}/{len(rows)} engaged, "
-        f"all={summary['geomean_vector_speedup_all']:.2f}x)"
+        f"total={summary['total_speedup']:.2f}x"
     )
 
     payload = {"benchmarks": rows, "summary": summary}
@@ -307,7 +169,6 @@ def main(argv: list[str] | None = None) -> int:
         handle.write("\n")
     print(f"wrote {args.out}")
 
-    failed = False
     if (
         args.fail_below is not None
         and summary["geomean_speedup"] < args.fail_below
@@ -317,29 +178,8 @@ def main(argv: list[str] | None = None) -> int:
             f"< required {args.fail_below:.2f}x",
             file=sys.stderr,
         )
-        failed = True
-    if (
-        args.fail_below_opt is not None
-        and summary["geomean_opt_speedup"] < args.fail_below_opt
-    ):
-        print(
-            f"FAIL: geomean opt speedup "
-            f"{summary['geomean_opt_speedup']:.2f}x "
-            f"< required {args.fail_below_opt:.2f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    if args.fail_below_vector is not None:
-        got = summary["geomean_vector_speedup"]
-        if not engaged or not got >= args.fail_below_vector:
-            print(
-                f"FAIL: engaged vector geomean speedup {got:.2f}x "
-                f"< required {args.fail_below_vector:.2f}x "
-                f"(engaged: {summary['vector_engaged'] or 'none'})",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -87,10 +87,9 @@ class CampaignResult:
     """Trials short-circuited by the static oracle this run
     (``spec.prune='static'``): their records carry a *predicted*
     verdict (``extra.predicted``) instead of a measured one."""
-    vector: dict[str, int] | None = None
-    """Vector-backend counters (probes/runs/fallbacks/memoized winners),
-    aggregated across driver and workers (see
-    :func:`repro.runtime.vector.vector_stats`)."""
+    vector: None = None
+    """Always ``None``: the vector backend is gone.  Kept only because
+    ``perfbench/`` still reads it."""
     trials: dict[str, int] | None = None
     """How the trials ran (``carriers``, ``forked``, ``trapped``; see
     :data:`repro.service.store.TRIAL_PATHS`), aggregated across driver
@@ -187,7 +186,6 @@ def run_campaign(
         log_path=log_path,
         workers=workers,
         pruned=pruned,
-        vector=stats["vector"],
         trials=stats["trials"],
         store=stats["store"],
         service=service,
@@ -197,11 +195,11 @@ def run_campaign(
 def aggregate_stats(
     worker_totals: dict | None, driver_base: dict | None = None
 ) -> dict:
-    """Merged store, vector and trial-path counters of *this run*: the
+    """Merged store and trial-path counters of *this run*: the
     driver's counter growth since ``driver_base`` plus every worker's
     shipped deltas — the log's stats trailer payload.  ``size``/
     ``limit`` gauges come from the driver's live namespaces."""
-    combined: dict = {"store": {}, "vector": {}, "trials": {}}
+    combined: dict = {"store": {}, "trials": {}}
     counters_add(combined, counters_delta(counters_snapshot(), driver_base))
     if worker_totals:
         counters_add(combined, worker_totals)
@@ -214,11 +212,7 @@ def aggregate_stats(
         entry["size"] = gauges.get("size", 0)
         entry["limit"] = gauges.get("limit", 0)
         store[name] = entry
-    return {
-        "store": store,
-        "vector": combined["vector"],
-        "trials": combined["trials"],
-    }
+    return {"store": store, "trials": combined["trials"]}
 
 
 def _load_done(
@@ -317,9 +311,8 @@ def replay_trial(
     cache keys on the spec's golden digest and the kernel LRU on the IR
     digest — so a replay never recompiles or re-executes a golden run
     another replay (or the original campaign, in-process) already paid
-    for; the golden leg itself dispatches through the vector backend
-    when profitable.  Pass ``prepared`` to replay many indices against
-    one explicitly shared context without any cache lookups.
+    for.  Pass ``prepared`` to replay many indices against one
+    explicitly shared context without any cache lookups.
     """
     if prepared is None:
         prepared = spec.prepare()

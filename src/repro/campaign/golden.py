@@ -15,14 +15,15 @@ specs must not grow without bound) plus the store's opt-in shared disk
 directory, so worker processes — and *later campaigns on the same
 spec* — warm from one persisted golden run instead of re-executing it.
 Compiled kernels inside a prepared campaign context are not picklable;
-the disk codec strips them and records the opt level, and a load
-recompiles through the kernel namespace (itself disk-backed by
+the disk codec strips them and records whether there was one, and a
+load recompiles through the kernel namespace (itself disk-backed by
 generated source, so the rebuild is an exec, not a codegen run).
 
 Counters route through the store, so ``campaign run``/``report`` can
 show *aggregate* hit/miss numbers merged across worker processes
 instead of silently dropping every worker's private view when the
-worker exits.  The module-level API is unchanged from the pre-store cache.
+worker exits; read them as the ``golden`` entry of
+:func:`repro.service.store.store_stats`.
 """
 
 from __future__ import annotations
@@ -46,21 +47,20 @@ def _encode(value):
     if isinstance(value, _PreparedProgram):
         if value.plan is not None:
             return None
-        if value.kernel is None:
-            return ("prepared", value, None)
-        return ("prepared", replace(value, kernel=None), value.kernel_opt_level)
-    return ("raw", value, None)
+        compiled = value.kernel is not None
+        return ("prepared", replace(value, kernel=None), compiled)
+    return ("raw", value, False)
 
 
 def _decode(payload):
     if not (isinstance(payload, tuple) and len(payload) == 3):
         return None
-    tag, value, opt_level = payload
-    if tag == "prepared" and opt_level is not None:
+    tag, value, compiled = payload
+    if tag == "prepared" and compiled:
         from repro.runtime.compile import CompileError, compile_program
 
         try:
-            kernel = compile_program(value.program, opt_level=opt_level)
+            kernel = compile_program(value.program)
         except CompileError:
             kernel = None
         value = replace(value, kernel=kernel)
@@ -86,11 +86,6 @@ def golden_run(key: Hashable, runner: Callable[[], T]) -> T:
 
 def cached_keys() -> list[Hashable]:
     return _ns().keys()
-
-
-def cache_stats() -> dict[str, int]:
-    """Hit/miss/eviction counters plus current size and bound."""
-    return _ns().stats()
 
 
 def set_cache_limit(limit: int) -> None:

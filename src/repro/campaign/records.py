@@ -131,8 +131,8 @@ def write_record(handle: TextIO, record: TrialRecord) -> None:
 
 
 def write_stats(handle: TextIO, stats: dict) -> None:
-    """Append a stats trailer: aggregate artifact-store / vector /
-    trial-path / service counters of the run that wrote the log.
+    """Append a stats trailer: aggregate artifact-store / trial-path /
+    service counters of the run that wrote the log.
     Readers that predate the trailer skip the line (unknown ``type``);
     resume rewrites drop it, so it always describes a *completed* run."""
     handle.write(json.dumps({"type": "stats", **stats}) + "\n")

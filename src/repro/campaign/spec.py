@@ -236,9 +236,6 @@ class _PreparedProgram:
     plan: Any = None
     """Recovery plan (``repro.recovery.RecoveryPlan``) shared by every
     trial; ``None`` unless the spec has ``recover=True``."""
-    kernel_opt_level: int | None = None
-    """Opt level ``kernel`` was compiled at — lets the artifact store's
-    disk codec drop the unpicklable kernel and recompile on load."""
 
 
 @dataclass(frozen=True)
@@ -295,17 +292,6 @@ class ProgramCampaignSpec:
     at any scale."""
     burst_cells: int = 4
     """``burst`` model: consecutive cells struck per injection."""
-    opt_level: int = 2
-    """Compiled-backend optimization level (``--opt-level``; see
-    :mod:`repro.runtime.opt`).  Every level is bit-identical — this
-    only trades compile time against trial throughput.  Levels 0 and
-    1 have no inline kernel body, so they also lose the load-trap body
-    that runs one-shot (``random_cell``, ``burst``) trials."""
-    verify_vector: bool = False
-    """Run the golden (and recovery clean) runs through *both* the
-    vector and scalar backends and fail loudly on any contract-field
-    divergence (``--verify-vector``).  Purely a self-check: the scalar
-    result stays authoritative, so records are unchanged."""
     prune: str = "none"
     """``static`` skips trials the static oracle
     (:mod:`repro.analysis.oracle`) proves ``DETECTED`` or ``MASKED``,
@@ -346,12 +332,6 @@ class ProgramCampaignSpec:
             raise ValueError(
                 f"burst_cells must be >= 1, got {self.burst_cells}"
             )
-        from repro.runtime.opt import OPT_LEVELS
-
-        if self.opt_level not in OPT_LEVELS:
-            raise ValueError(
-                f"opt_level must be one of {OPT_LEVELS}, got {self.opt_level}"
-            )
         if self.prune not in ("none", "static"):
             raise ValueError(
                 f"prune must be 'none' or 'static', got {self.prune!r}"
@@ -383,10 +363,19 @@ class ProgramCampaignSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProgramCampaignSpec":
-        # ``batch`` (trials per batched-execution group) was an
-        # execution strategy that never changed a record; older log
-        # headers still carry it.
-        fields = {k: v for k, v in data.items() if k not in ("kind", "batch")}
+        # Older log headers carry execution knobs that never changed a
+        # record: ``batch`` (trials per batched-execution group),
+        # ``opt_level`` (compiled-kernel optimization level) and
+        # ``verify_vector`` (a vector-backend self-check).  The vector
+        # backend ran only injector-free legs on top of the compiled
+        # kernel, so its campaigns are compiled campaigns.
+        fields = {
+            k: v
+            for k, v in data.items()
+            if k not in ("kind", "batch", "opt_level", "verify_vector")
+        }
+        if fields.get("backend") == "vector":
+            fields["backend"] = "compiled"
         fields["params"] = tuple(
             (name, int(value)) for name, value in fields.get("params", ())
         )
@@ -409,8 +398,7 @@ class ProgramCampaignSpec:
         fault model and its knobs — are excluded, so campaigns that
         differ only in those (a fault-model sweep, a differential
         matrix) share one golden run per (program, build, backend)
-        instead of re-executing it per spec.  ``opt_level`` stays in:
-        the cached context carries a kernel compiled at that level."""
+        instead of re-executing it per spec."""
         data = self.to_dict()
         for key in (
             "trials",
@@ -479,42 +467,28 @@ class ProgramCampaignSpec:
             # options skip the instrumenter entirely (and across
             # processes too when REPRO_INSTRUMENT_CACHE names a
             # directory — worker processes inherit the env var).
-            from repro.runtime.opt import config_for_level
-
-            backend_fp = (
-                config_for_level(self.opt_level).fingerprint()
-                if self.backend in ("compiled", "vector")
-                else None
-            )
             program, _ = instrument_cached(
                 program,
                 InstrumentationOptions(
                     index_set_splitting=self.split,
                     hoist_inspectors=self.hoist,
                 ),
-                backend_fingerprint=backend_fp,
             )
         # Compile once per worker; every trial (and the golden run)
         # reuses the kernel.  Unsupported constructs fall back to the
         # interpreter — the two backends are bit-identical, so the
         # choice never changes a verdict.
         kernel = None
-        if self.backend in ("compiled", "vector"):
+        if self.backend == "compiled":
             try:
-                kernel = compile_program(program, opt_level=self.opt_level)
+                kernel = compile_program(program)
             except CompileError:
                 kernel = None
         if kernel is not None:
-            # The golden run is injector-free: let it dispatch to the
-            # vector backend (probe-gated; scalar stays authoritative
-            # for bit-identity, and every contract field the campaign
-            # reads — finals, load/store totals — is vector-exact).
             clean = kernel.execute(
                 params,
                 initial_values=_copy_values(values),
                 channels=self.channels,
-                vectorize=True,
-                verify_vector=self.verify_vector,
             )
         else:
             clean = run_program(
@@ -540,7 +514,6 @@ class ProgramCampaignSpec:
             golden_finals=golden_finals,
             targets=tuple(targets),
             kernel=kernel,
-            kernel_opt_level=self.opt_level if kernel is not None else None,
         )
 
     def _prepare_recovery(
@@ -562,8 +535,6 @@ class ProgramCampaignSpec:
             initial_values=_copy_values(values),
             channels=self.channels,
             backend=self.backend,
-            vectorize=True,
-            verify_vector=self.verify_vector,
         )
         if clean.detected:
             raise RuntimeError(

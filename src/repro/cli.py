@@ -134,7 +134,6 @@ def cmd_run(args) -> int:
         initial_values=values,
         channels=args.channels,
         register_budget=args.register_budget,
-        opt_level=args.opt_level,
     )
     if args.register_budget is not None:
         print(f"register spills: {result.spills}")
@@ -332,8 +331,6 @@ def _campaign_spec_from_args(args):
         fault_model=args.fault_model,
         stuck_window=args.stuck_window,
         burst_cells=args.burst_cells,
-        opt_level=args.opt_level,
-        verify_vector=args.verify_vector,
         prune=args.prune,
     )
     if args.benchmark is not None:
@@ -397,7 +394,6 @@ def _print_campaign_result(result) -> int:
     _print_run_stats(
         {
             "store": result.store,
-            "vector": result.vector,
             "trials": result.trials,
             "service": result.service,
         }
@@ -411,12 +407,10 @@ def _print_campaign_result(result) -> int:
 
 
 def _print_run_stats(stats: dict) -> None:
-    """The vector, trial-path, service and artifact-store lines of one
-    run — from a fresh :class:`CampaignResult` or a log's stats
-    trailer (older trailers have no trial paths, and print none)."""
-    vector = stats.get("vector") or {}
-    if any(vector.values()):
-        print(_format_vector_stats(vector))
+    """The trial-path, service and artifact-store lines of one run —
+    from a fresh :class:`CampaignResult` or a log's stats trailer
+    (older trailers have no trial paths, and print none; their
+    ``vector`` group is ignored)."""
     trials = stats.get("trials")
     if trials is not None:
         print(
@@ -429,15 +423,6 @@ def _print_run_stats(stats: dict) -> None:
     line = _format_store_stats(stats.get("store") or {})
     if line:
         print(line)
-
-
-def _format_vector_stats(stats: dict) -> str:
-    return (
-        f"vector backend: runs={stats['runs']} "
-        f"fallbacks={stats['fallbacks']} probes={stats['probes']} "
-        f"engaged_keys={stats['engaged_keys']} "
-        f"scalar_keys={stats['scalar_keys']}"
-    )
 
 
 def _format_service_stats(service: dict) -> str:
@@ -623,18 +608,10 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--register-budget", type=int, default=None,
                        help="per-bundle register file size (enables the "
                        "Section 5 spill modeling; forces the interpreter)")
-    p_run.add_argument("--backend", choices=("interp", "compiled", "vector"),
+    p_run.add_argument("--backend", choices=("interp", "compiled"),
                        default="compiled",
                        help="execution backend (compiled falls back to the "
-                       "interpreter on unsupported constructs; vector "
-                       "dispatches injector-free runs to the whole-array "
-                       "backend when profitable)")
-    p_run.add_argument("--opt-level", type=int, choices=(0, 1, 2), default=2,
-                       help="compiled-backend optimization level "
-                       "(0 = straight translation, 1 = folding+LICM+"
-                       "fusion+unrolling, 2 = +caching and the inline "
-                       "memory fast path; results are bit-identical "
-                       "at every level)")
+                       "interpreter on unsupported constructs)")
     p_run.add_argument("--dump", action="append", default=None,
                        metavar="ARRAY", help="print an array after the run")
     p_run.add_argument("--recover", action="store_true",
@@ -730,16 +707,10 @@ def main(argv: list[str] | None = None) -> int:
         p_crun.add_argument("--no-split", action="store_true")
         p_crun.add_argument("--no-hoist", action="store_true")
         p_crun.add_argument("--channels", type=int, default=1)
-        p_crun.add_argument("--backend", choices=("interp", "compiled", "vector"),
+        p_crun.add_argument("--backend", choices=("interp", "compiled"),
                             default="compiled",
                             help="per-trial execution backend (bit-identical "
-                            "results; compiled is faster; vector additionally "
-                            "dispatches injector-free runs to the whole-array "
-                            "backend)")
-        p_crun.add_argument("--opt-level", type=int, choices=(0, 1, 2),
-                            default=2,
-                            help="compiled-backend optimization level "
-                            "(verdicts are identical at every level)")
+                            "results; compiled is faster)")
         p_crun.add_argument("--instrument-cache", default=None, metavar="DIR",
                             help="on-disk instrumentation cache shared by all "
                             "workers (sets REPRO_INSTRUMENT_CACHE)")
@@ -749,11 +720,6 @@ def main(argv: list[str] | None = None) -> int:
                             "recovery_failed / sdc_after_recovery")
         p_crun.add_argument("--recover-retries", type=int, default=3,
                             help="replay budget per detection episode")
-        p_crun.add_argument("--verify-vector", action="store_true",
-                            help="run injector-free legs through BOTH the "
-                            "vector and scalar backends and fail on any "
-                            "contract-field divergence (self-check; records "
-                            "are unchanged)")
         p_crun.add_argument("--prune", choices=("none", "static"),
                             default="none",
                             help="static: skip trials the static analysis "

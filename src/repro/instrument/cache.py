@@ -7,7 +7,12 @@ sweeps, the Figure 10 harness and repeated CLI invocations all
 re-instrument identical inputs, so :func:`instrument_cached` memoizes
 ``instrument_program`` under a SHA-256 key of
 
-    ``program_to_text(program)`` + the options field tuple.
+    ``program_to_text(program)`` + the options field tuple
+    + the instrumenter's code digest.
+
+Nothing else goes in: instrumentation never reads which backend will
+run the result, so interpreter campaigns, compiled campaigns and the
+Figure 10 builds share one entry.
 
 Storage is the ``instrument`` namespace of
 :mod:`repro.service.store`: an in-memory LRU with hit/miss/eviction
@@ -45,43 +50,15 @@ from repro.instrument.pipeline import (
 )
 from repro.ir.nodes import Program
 from repro.ir.printer import program_to_text
-from repro.service.store import namespace
+from repro.service.store import code_digest, namespace
 
 ENV_CACHE_DIR = "REPRO_INSTRUMENT_CACHE"
 
 _Entry = tuple[Program, InstrumentationReport]
 
-_CODE_DIGEST: str | None = None
-
 _DEFAULT_LIMIT = 128
 
 _CACHE_DIR: Path | None = None
-
-
-def instrumenter_code_digest() -> str:
-    """SHA-256 over the source of every ``repro.instrument`` module.
-
-    Folded into :func:`cache_key` so an on-disk cache directory can
-    never serve entries produced by a *different version of the
-    instrumenter*: editing any file in the package changes every key,
-    and the stale pickles simply stop being addressed.  Computed once
-    per process (the sources cannot change under a running process we
-    care about) from the files in sorted order.
-    """
-    global _CODE_DIGEST
-    if _CODE_DIGEST is None:
-        digest = hashlib.sha256()
-        package_dir = Path(__file__).resolve().parent
-        for path in sorted(package_dir.glob("*.py")):
-            digest.update(path.name.encode("utf-8"))
-            digest.update(b"\0")
-            try:
-                digest.update(path.read_bytes())
-            except OSError:
-                pass
-            digest.update(b"\0")
-        _CODE_DIGEST = digest.hexdigest()[:16]
-    return _CODE_DIGEST
 
 
 def _validate(payload):
@@ -107,24 +84,18 @@ def _ns():
 
 
 def cache_key(
-    program: Program,
-    options: InstrumentationOptions | None = None,
-    backend_fingerprint: str | None = None,
+    program: Program, options: InstrumentationOptions | None = None
 ) -> str:
-    """SHA-256 over the printed program, every options field, the
-    instrumenter's own code digest, and (when given) the consuming
-    backend's fingerprint.
+    """SHA-256 over the printed program, every options field and the
+    instrumenter's own code digest.
 
     Adding a field to ``InstrumentationOptions`` automatically changes
     the key, so stale entries can never be served across an options
-    schema change; :func:`instrumenter_code_digest` does the same for
-    changes to the instrumenter implementation itself (an on-disk cache
+    schema change; the code digest of ``repro/instrument/*.py``
+    (:func:`~repro.service.store.code_digest`) does the same for changes
+    to the instrumenter implementation itself (an on-disk cache
     surviving a ``git pull`` would otherwise serve outputs of the old
-    code).  ``backend_fingerprint`` (e.g. the kernel optimizer's
-    ``OptConfig.fingerprint()``) partitions the cache per backend
-    configuration: entries addressed under one optimizer level can
-    never be served to a campaign running another, even across
-    processes sharing one on-disk directory.
+    code).
     """
     options = options or InstrumentationOptions()
     option_items = tuple(
@@ -135,20 +106,16 @@ def cache_key(
         + "\n#options#"
         + repr(option_items)
         + "\n#code#"
-        + instrumenter_code_digest()
-        + "\n#backend#"
-        + (backend_fingerprint or "")
+        + code_digest("instrument/*.py")
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def instrument_cached(
-    program: Program,
-    options: InstrumentationOptions | None = None,
-    backend_fingerprint: str | None = None,
+    program: Program, options: InstrumentationOptions | None = None
 ) -> _Entry:
     """``instrument_program`` memoized under the content-addressed key."""
-    key = cache_key(program, options, backend_fingerprint)
+    key = cache_key(program, options)
     return _ns().get_or_compute(
         key, lambda: instrument_program(program, options)
     )
@@ -180,13 +147,9 @@ def set_cache_dir(path: str | os.PathLike | None) -> None:
 
 
 # ----------------------------------------------------------------------
-# Stats / management (mirrors repro.campaign.golden)
+# Management (mirrors repro.campaign.golden); counters are the
+# ``instrument`` entry of repro.service.store.store_stats()
 # ----------------------------------------------------------------------
-def cache_stats() -> dict[str, int]:
-    """Hit/miss/eviction/disk-hit counters plus current size and bound."""
-    return _ns().stats()
-
-
 def set_cache_limit(limit: int) -> None:
     """Re-bound the in-memory layer (evicting oldest when shrinking)."""
     _ns().set_limit(limit)

@@ -120,26 +120,6 @@ def count_memo_store(key: Hashable, value) -> None:
     _count_ns().store(key, value)
 
 
-def memo_stats() -> dict[str, int]:
-    empty = _empty_ns().stats()
-    fm = _fm_ns().stats()
-    count = _count_ns().stats()
-    return {
-        "hits": empty["hits"],
-        "misses": empty["misses"],
-        "size": empty["size"],
-        "limit": empty["limit"],
-        "fm_hits": fm["hits"],
-        "fm_misses": fm["misses"],
-        "fm_size": fm["size"],
-        "fm_limit": fm["limit"],
-        "count_hits": count["hits"],
-        "count_misses": count["misses"],
-        "count_size": count["size"],
-        "count_limit": count["limit"],
-    }
-
-
 def clear_memo() -> None:
     """Drop all cached verdicts (benchmarks, tests)."""
     for ns in (_empty_ns(), _fm_ns(), _count_ns()):

@@ -125,8 +125,6 @@ class _SegmentRunner:
         channels: int,
         max_steps: int | None,
         wild_reads: bool,
-        vectorize: bool = False,
-        verify_vector: bool = False,
     ) -> None:
         self.plan = plan
         self.memory = memory
@@ -134,11 +132,9 @@ class _SegmentRunner:
         self.channels = channels
         self.max_steps = max_steps
         self.wild_reads = wild_reads
-        self.vectorize = vectorize
-        self.verify_vector = verify_vector
         self.kernels = None
         self.backend = "interp"
-        if backend in ("compiled", "vector"):
+        if backend == "compiled":
             try:
                 first = compile_program(plan.first_program)
                 rest = (
@@ -164,13 +160,9 @@ class _SegmentRunner:
         program = self.plan.segment_program(index)
         if self.kernels is not None:
             kernel = self.kernels[0] if index == 0 else self.kernels[1]
-            # Injector-bearing memory always takes the scalar path (the
-            # vector guard checks memory.injector); fault-free segment
-            # runs — and every replay after the one-shot fault fired on
-            # an injector-free image — may dispatch vectorized.  A
-            # one-shot injector may run on the inline body's load trap;
-            # the kernel re-attaches it after each segment, so a trigger
-            # in a later segment still fires.
+            # A one-shot injector may run on the inline body's load
+            # trap; the kernel re-attaches it after each segment, so a
+            # trigger in a later segment still fires.
             return kernel.execute(
                 params,
                 memory=self.memory,
@@ -178,8 +170,6 @@ class _SegmentRunner:
                 max_steps=self.max_steps,
                 halt_on_mismatch=True,
                 checksums=self.checksums,
-                vectorize=self.vectorize,
-                verify_vector=self.verify_vector,
             )
         interpreter = Interpreter(
             program,
@@ -203,16 +193,11 @@ def run_plan(
     wild_reads: bool = False,
     backend: str = "compiled",
     policy: RecoveryPolicy | None = None,
-    vectorize: bool = False,
-    verify_vector: bool = False,
 ) -> RecoveryResult:
     """Execute a plan with checkpointing and re-execution recovery.
 
     ``max_steps`` is a per-segment budget (each epoch and each replay
-    gets the full allowance).  ``vectorize=True`` lets injector-free
-    segment runs (the clean verification leg of a campaign prepare, or
-    any fault-free plan execution) dispatch to the vector backend;
-    runs with an injector attached stay scalar regardless.
+    gets the full allowance).
     """
     policy = policy or RecoveryPolicy()
     run_params = {p: int(params[p]) for p in plan.source.params}
@@ -231,8 +216,6 @@ def run_plan(
         channels,
         max_steps,
         wild_reads,
-        vectorize=vectorize,
-        verify_vector=verify_vector,
     )
     checkpoint_fn, restore_fn = runner.checkpoint_fns()
     store = CheckpointStore(
@@ -366,8 +349,6 @@ def run_with_recovery(
     policy: RecoveryPolicy | None = None,
     options=None,
     localize: bool = True,
-    vectorize: bool = False,
-    verify_vector: bool = False,
 ) -> RecoveryResult:
     """Plan + execute in one call (CLI and test convenience)."""
     plan = build_recovery_plan(program, options=options, localize=localize)
@@ -381,6 +362,4 @@ def run_with_recovery(
         wild_reads=wild_reads,
         backend=backend,
         policy=policy,
-        vectorize=vectorize,
-        verify_vector=verify_vector,
     )

@@ -30,8 +30,8 @@ classification of :meth:`Interpreter._count_arith` is resolved at
 compile time; otherwise a runtime ``isinstance`` check is emitted that
 mirrors the interpreter exactly.
 
-On top of that baseline the emitter runs the optimization pipeline of
-:mod:`repro.runtime.opt` when given a non-trivial :class:`OptConfig`:
+On top of that baseline the emitter always runs the optimization
+pipeline of :mod:`repro.runtime.opt`:
 
 * **count coalescing / folding** — pure subexpressions fold to single
   Python expressions and their statically known count vectors are
@@ -59,7 +59,7 @@ On top of that baseline the emitter runs the optimization pipeline of
   every bundle-cache hit/miss at compile time, the runtime dict
   disappears and cache hits re-count their index arithmetic without
   touching memory, exactly as the interpreter's dict hit would.
-* **inlined memory** (``inline_mem``) — a second kernel body with
+* **inlined memory** (``inline_mem``) — the second kernel body, with
   bounds checks and word-array accesses inlined, used when no fault
   injector is attached and for one-shot injectors on *trap-exact*
   bodies (the selection happens at run time in
@@ -107,7 +107,6 @@ from repro.ir.nodes import (
 )
 from repro.runtime.opt import (
     COUNTERS as _COUNTERS,
-    OptConfig,
     UNROLL_LIMIT,
     analyze_guard_chain,
     fuse_condition,
@@ -137,17 +136,6 @@ class CompileError(Exception):
     """The program uses a construct the codegen backend cannot lower."""
 
 
-def program_elem_types(program) -> dict[str, str]:
-    """Region name -> element type for every declared array and scalar.
-
-    Shared by backends that need the full type map up front (the vector
-    planner) instead of the emitter's incremental lookups.
-    """
-    types = {d.name: d.elem_type for d in program.arrays}
-    types.update({d.name: d.elem_type for d in program.scalars})
-    return types
-
-
 def _pytype(elem_type: str) -> str:
     if elem_type == "f64":
         return "float"
@@ -172,9 +160,8 @@ class _Frame:
 class _Emitter:
     """Stateful line emitter for one program."""
 
-    def __init__(self, program: Program, opt: OptConfig | None = None) -> None:
+    def __init__(self, program: Program, inline_mem: bool = False) -> None:
         self.program = program
-        self.opt = opt if opt is not None else OptConfig()
         self.lines: list[str] = []
         self.depth = 1
         self._temp = 0
@@ -209,7 +196,7 @@ class _Emitter:
         self._hoist_n = 0
         # name -> (local index, rank) for inlined-memory regions.
         self._region_local: dict[str, tuple[int, int]] = {}
-        if self.opt.inline_mem:
+        if inline_mem:
             decls = list(program.arrays) + list(program.scalars)
             for i, decl in enumerate(decls):
                 rank = len(getattr(decl, "dims", ()) or ())
@@ -269,30 +256,18 @@ class _Emitter:
     def count(self, bucket: str, n: int = 1) -> None:
         """Record ``n`` interpreter count units for ``bucket``.
 
-        With folding enabled the increment is buffered and later merged
-        into one flush line; otherwise it is emitted immediately (the
-        level-0 reference emission).  Callers must only use this for
-        increments that are *unconditional* at the current emission
-        point — runtime-conditional counts (dynamic cache miss arms,
+        The increment is buffered and later merged into one flush line.
+        Callers must only use this for increments that are
+        *unconditional* at the current emission point —
+        runtime-conditional counts (dynamic cache miss arms,
         channel-dependent totals) are emitted directly.
         """
-        if not n:
-            return
-        if self.opt.fold:
+        if n:
             self._pend[bucket] = self._pend.get(bucket, 0) + n
-        else:
-            self.out(f"_n_{bucket} += {n}" if n != 1 else f"_n_{bucket} += 1")
 
     def count_channels(self, n: int = 1) -> None:
         """``checksum_ops += n * _channels`` (runtime channel count)."""
-        if self.opt.fold:
-            self._pend_ch += n
-        else:
-            self.out(
-                "_n_checksum_ops += _channels"
-                if n == 1
-                else f"_n_checksum_ops += {n} * _channels"
-            )
+        self._pend_ch += n
 
     def flush(self) -> None:
         """Materialize pending counts as one merged increment line."""
@@ -331,17 +306,13 @@ class _Emitter:
         self._pend_ch = pend_ch
 
     # -- LICM frames -------------------------------------------------------
-    def _push_frame(self, var: str | None) -> _Frame | None:
-        if not self.opt.licm:
-            return None
+    def _push_frame(self, var: str | None) -> _Frame:
         frame = _Frame(var, self.depth, self.lines)
         self.frames.append(frame)
         self.lines = []
         return frame
 
-    def _pop_frame(self, frame: _Frame | None) -> None:
-        if frame is None:
-            return
+    def _pop_frame(self, frame: _Frame) -> None:
         self.frames.pop()
         body = self.lines
         self.lines = frame.outer
@@ -377,7 +348,7 @@ class _Emitter:
         """Best-effort hoist of a scaffolding atom (fused guard bounds):
         pure affine/min/max forms whose free variables are exactly the
         ``v_`` names it mentions."""
-        if not self.opt.licm or not self.frames or _SIMPLE_ATOM.match(atom):
+        if not self.frames or _SIMPLE_ATOM.match(atom):
             return atom
         free = set(_FREE_VARS.findall(atom))
         return self._hoist_to(atom, free)
@@ -398,7 +369,7 @@ class _Emitter:
             self.out(f"{t} = {f.atom}")
             return t
         atom = f.condition if condition else f.atom
-        if self.opt.licm and f.complexity >= 3 and self.frames:
+        if f.complexity >= 3 and self.frames:
             return self._hoist_to(atom, f.free)
         return atom
 
@@ -631,43 +602,42 @@ class _Emitter:
         if not reads:
             return False
         static = False
-        if self.opt.static_cache:
-            if len(reads) == 1:
-                # A single read event can never hit any cache: it is
-                # always the bundle's first (and only) load.
-                static = True
-            elif all(ref is not None and not c for ref, c in reads):
-                keys = []
-                ok = True
-                for ref, _ in reads:
+        if len(reads) == 1:
+            # A single read event can never hit any cache: it is
+            # always the bundle's first (and only) load.
+            static = True
+        elif all(ref is not None and not c for ref, c in reads):
+            keys = []
+            ok = True
+            for ref, _ in reads:
+                key = self._ref_key(ref)
+                if key is None:
+                    ok = False
+                    break
+                if isinstance(ref, ArrayRef) and any(
+                    try_fold(index, self.bound) is None
+                    for index in ref.indices
+                ):
+                    ok = False
+                    break
+                keys.append(key)
+            if ok:
+                for ref in writes:
+                    if ref is None:
+                        continue
                     key = self._ref_key(ref)
                     if key is None:
                         ok = False
                         break
-                    if isinstance(ref, ArrayRef) and any(
-                        try_fold(index, self.bound) is None
-                        for index in ref.indices
-                    ):
-                        ok = False
-                        break
                     keys.append(key)
-                if ok:
-                    for ref in writes:
-                        if ref is None:
-                            continue
-                        key = self._ref_key(ref)
-                        if key is None:
-                            ok = False
-                            break
-                        keys.append(key)
-                if ok:
-                    from repro.runtime.opt import keys_never_alias
+            if ok:
+                from repro.runtime.opt import keys_never_alias
 
-                    static = all(
-                        a == b or keys_never_alias(a, b)
-                        for m, a in enumerate(keys)
-                        for b in keys[m + 1 :]
-                    )
+                static = all(
+                    a == b or keys_never_alias(a, b)
+                    for m, a in enumerate(keys)
+                    for b in keys[m + 1 :]
+                )
         if static:
             self._symcache = {}
             self._memo = None
@@ -818,19 +788,17 @@ class _Emitter:
     def eval_expr(self, expr: Expr, cache: str | None) -> tuple[str, str]:
         """Emit evaluation code; return ``(atom, type)`` with type one of
         ``"int"``, ``"float"``, ``"dyn"``."""
-        if self.opt.fold:
-            folded = try_fold(expr, self.bound)
-            if folded is not None:
-                return self._use_folded(folded), folded.typ
+        folded = try_fold(expr, self.bound)
+        if folded is not None:
+            return self._use_folded(folded), folded.typ
         return self._eval_dispatch(expr, cache)
 
     def eval_cond(self, expr: Expr, cache: str | None) -> str:
         """Like :meth:`eval_expr` but in condition position: a folded
         comparison keeps its raw (un-reified) boolean form."""
-        if self.opt.fold:
-            folded = try_fold(expr, self.bound)
-            if folded is not None:
-                return self._use_folded(folded, condition=True)
+        folded = try_fold(expr, self.bound)
+        if folded is not None:
+            return self._use_folded(folded, condition=True)
         return self._eval_dispatch(expr, cache)[0]
 
     def _eval_dispatch(self, expr: Expr, cache: str | None) -> tuple[str, str]:
@@ -1063,16 +1031,15 @@ class _Emitter:
             raise CompileError(f"cannot compile statement {stmt!r}")
 
     def _emit_loop(self, stmt: Loop) -> None:
-        if self.opt.unroll:
-            trip = loop_trip_constant(stmt.lower, stmt.upper, self.bound)
-            if trip is not None and trip <= UNROLL_LIMIT:
-                self._emit_loop_unrolled(stmt, trip)
-                return
-            if trip is None and loop_trip_at_most_one(
-                stmt.lower, stmt.upper, self.bound
-            ):
-                self._emit_loop_single(stmt)
-                return
+        trip = loop_trip_constant(stmt.lower, stmt.upper, self.bound)
+        if trip is not None and trip <= UNROLL_LIMIT:
+            self._emit_loop_unrolled(stmt, trip)
+            return
+        if trip is None and loop_trip_at_most_one(
+            stmt.lower, stmt.upper, self.bound
+        ):
+            self._emit_loop_single(stmt)
+            return
         lo, lt = self.eval_expr(stmt.lower, None)
         hi, ht = self.eval_expr(stmt.upper, None)
         shadowed = stmt.var in self.bound
@@ -1192,13 +1159,12 @@ class _Emitter:
         self.depth -= 1
 
     def _emit_if(self, stmt: If) -> None:
-        if self.opt.fuse_guards:
-            chain = analyze_guard_chain(stmt.cond, self.bound)
-            if chain is not None and not any(
-                leaf.raising for leaf in chain.leaves
-            ):
-                self._emit_fused_if(stmt, chain)
-                return
+        chain = analyze_guard_chain(stmt.cond, self.bound)
+        if chain is not None and not any(
+            leaf.raising for leaf in chain.leaves
+        ):
+            self._emit_fused_if(stmt, chain)
+            return
         self.count("branches")
         ca = self.eval_cond(stmt.cond, None)
         self.flush()
@@ -1277,7 +1243,7 @@ class _Emitter:
     def _hoist_guard_bounds(self, fused: str) -> str:
         """Hoist loop-invariant fused-bound subexpressions (``min``/
         ``max`` clamps and affine bounds) out of the test."""
-        if not self.opt.licm or not self.frames:
+        if not self.frames:
             return fused
         parts = fused.split(" and ")
         out_parts = []
@@ -1528,14 +1494,10 @@ class _Emitter:
             self.out(f"    for _k in {names!r}: _sums[_k] = 0")
 
 
-def generate_source(program: Program, opt: OptConfig | None = None) -> str:
-    """The Python source of ``_kernel(_rt)`` for one program.
-
-    ``opt`` selects the optimization pipeline; the default (level-0)
-    configuration reproduces the straight-line reference emission.
-    """
-    em = _Emitter(program, opt)
-    opt = em.opt
+def generate_source(program: Program, inline_mem: bool = False) -> str:
+    """The Python source of ``_kernel(_rt)`` for one program: the
+    hooked body, or with ``inline_mem`` the inlined-memory body."""
+    em = _Emitter(program, inline_mem)
     em.out("_mem = _rt.memory")
     em.out("_lb = _mem.load_bits")
     em.out("_lba = _mem.load_bits_addr")
@@ -1543,10 +1505,8 @@ def generate_source(program: Program, opt: OptConfig | None = None) -> str:
     em.out("_sba = _mem.store_bits_addr")
     em.out("_mload = _mem.load")
     em.out("_mstore = _mem.store")
-    if opt.static_cache:
-        em.out("_adr = _mem.address_of")
-    if opt.inline_mem:
-        decls = list(program.arrays) + list(program.scalars)
+    em.out("_adr = _mem.address_of")
+    if inline_mem:
         for name, (ri, rank) in em._region_local.items():
             em.out(f"_R{ri} = _mem._regions[{name!r}]")
             em.out(f"_w{ri} = _R{ri}.words")
@@ -1581,19 +1541,16 @@ def generate_source(program: Program, opt: OptConfig | None = None) -> str:
     frame = em._push_frame(None)
     em.emit_body(program.body)
     em.flush()
-    if frame is not None:
-        if not em.lines and not frame.preamble:
-            em.out("pass")
-        em._pop_frame(frame)
-    elif em.lines[-1].strip() == "try:":
+    if not em.lines and not frame.preamble:
         em.out("pass")
+    em._pop_frame(frame)
     em.depth -= 1
     em.out("except _Halt:")
     em.out("    pass")
     em.depth -= 1
     em.out("finally:")
     em.depth += 1
-    if opt.inline_mem:
+    if inline_mem:
         em.out("_mem.load_count += _lc")
         em.out("_mem.store_count += _sc")
     em.out("_c = _rt.counts")
@@ -1604,7 +1561,7 @@ def generate_source(program: Program, opt: OptConfig | None = None) -> str:
     em.depth -= 1
     header = "def _kernel(_rt):\n"
     source = header + "\n".join(em.lines) + "\n"
-    if opt.inline_mem:
+    if inline_mem:
         # Read back by the compiler (and by a disk-cached kernel, whose
         # sources are all it keeps): may one-shot injected runs take
         # this body?

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -38,7 +37,6 @@ from repro.runtime.codegen import (
     generate_checkpoint_source,
     generate_source,
 )
-from repro.runtime.opt import DEFAULT_OPT_LEVEL, OPT_LEVELS, config_for_level
 from repro.runtime.costmodel import OpCounts
 from repro.runtime.interpreter import (
     ExecutionResult,
@@ -52,28 +50,20 @@ from repro.runtime.memory import (
     encode_value,
 )
 from repro.runtime.state import ChecksumState
-from repro.service.store import TRIAL_PATHS
+from repro.service.store import TRIAL_PATHS, code_digest
 
 __all__ = [
     "CompileError",
     "CompiledKernel",
-    "VectorVerificationError",
     "compile_program",
     "ir_digest",
     "run_compiled",
     "execute_program",
-    "kernel_cache_stats",
     "clear_kernel_cache",
     "BACKENDS",
 ]
 
-BACKENDS = ("interp", "compiled", "vector")
-
-
-class VectorVerificationError(AssertionError):
-    """``verify_vector`` caught the vector backend diverging from the
-    scalar kernel on a contract field.  Always a backend bug: the vector
-    path must be bit-identical or fall back."""
+BACKENDS = ("interp", "compiled")
 
 
 class _Halt(Exception):
@@ -241,28 +231,14 @@ class CompiledKernel:
     checkpoint_source: str
     checkpoint_entry: Callable
     restore_entry: Callable
-    #: Optimization level the sources were generated at.
-    opt_level: int = DEFAULT_OPT_LEVEL
-    #: Level ≥ 2 only: the inlined-memory fast entry, selected at run
-    #: time when no fault injector is attached to the memory image, or
-    #: a one-shot one is and the body is :attr:`trap_exact`.
-    fast_source: str | None = None
-    fast_entry: Callable[[_RuntimeContext], None] | None = None
+    #: The inlined-memory fast entry, selected at run time when no
+    #: fault injector is attached to the memory image, or a one-shot
+    #: one is and the body is :attr:`trap_exact`.
+    fast_source: str
+    fast_entry: Callable[[_RuntimeContext], None]
     #: Every load site of the fast entry is inlined, so its load trap
     #: fires on the exact ordinal (see :mod:`repro.runtime.codegen`).
-    trap_exact: bool = False
-    #: Vector backend: whole-array plan, built lazily on the first
-    #: injector-free dispatch (``None`` once built = unplannable).
-    vector_plan: object = None
-    vector_plan_built: bool = False
-
-    def _vector_plan_for(self):
-        if not self.vector_plan_built:
-            from repro.runtime.vector import plan_program
-
-            self.vector_plan = plan_program(self.program)
-            self.vector_plan_built = True
-        return self.vector_plan
+    trap_exact: bool
 
     def execute(
         self,
@@ -275,25 +251,12 @@ class CompiledKernel:
         wild_reads: bool = False,
         halt_on_mismatch: bool = False,
         checksums: ChecksumState | None = None,
-        vectorize: bool = False,
-        verify_vector: bool = False,
     ) -> ExecutionResult:
         """Run the kernel; mirrors ``run_program``'s contract.
 
         A caller-supplied ``checksums`` state is used as-is (the
         recovery controller threads one state through its per-epoch
         sub-runs); otherwise a fresh one is created.
-
-        ``vectorize=True`` lets the run dispatch to the vector backend
-        when no injector is attached, the program planned, and the
-        profitability probe for this (kernel, params, channels) key
-        measured a win.  A vector-committed result carries a zeroed
-        :class:`OpCounts` — the per-op breakdown is out of the vector
-        identity contract; memory load/store totals, checksums, the
-        final image, steps, mismatches and first detection are exact.
-        ``verify_vector=True`` runs *both* backends (vector against a
-        cloned state) and raises :class:`VectorVerificationError` on
-        any contract-field divergence; the scalar result is returned.
         """
         run_params = {p: int(params[p]) for p in self.program.params}
         if memory is None:
@@ -312,68 +275,6 @@ class CompiledKernel:
                 f"resumed checksum state has {checksums.channels} channels, "
                 f"kernel was asked for {channels}"
             )
-        want_vector = (
-            vectorize and not wild_reads and memory.injector is None
-        )
-        _vec = None
-        if want_vector:
-            from repro.runtime import vector as _vec
-
-            want_vector = (
-                _vec.vector_enabled()
-                and self._vector_plan_for() is not None
-            )
-        vclone_mem = vclone_sums = vout = None
-        probe_key = probe_seconds = None
-        if want_vector and verify_vector:
-            # Vector runs on a cloned state; the scalar run below stays
-            # authoritative for the returned result.
-            vclone_mem = _clone_memory(self.program, run_params, memory)
-            vclone_sums = _clone_checksums(checksums)
-            vout = _vec.execute_vector(
-                self,
-                run_params,
-                vclone_mem,
-                vclone_sums,
-                max_steps,
-                halt_on_mismatch,
-            )
-        elif want_vector:
-            key = _vec.profit_key(self, run_params, channels)
-            state = _vec.profit_state(key)
-            if state is True:
-                out = _vec.execute_vector(
-                    self,
-                    run_params,
-                    memory,
-                    checksums,
-                    max_steps,
-                    halt_on_mismatch,
-                )
-                if out is not None:
-                    return ExecutionResult(
-                        checksums=checksums,
-                        mismatches=out["mismatches"],
-                        counts=OpCounts(),
-                        memory=memory,
-                        statements_executed=out["statements_executed"],
-                        spills=0,
-                        first_detection_step=out["first_detection_step"],
-                    )
-            elif state is None:
-                # Undecided key: time an uncommitted vector attempt now
-                # and the scalar run we perform anyway; the faster path
-                # wins the memo for every later dispatch of this key.
-                probe_seconds = _vec.probe(
-                    self,
-                    run_params,
-                    memory,
-                    checksums,
-                    max_steps,
-                    halt_on_mismatch,
-                )
-                if probe_seconds is not None:
-                    probe_key = key
         rt = _RuntimeContext(
             memory=memory,
             checksums=checksums,
@@ -389,7 +290,7 @@ class CompiledKernel:
         # after, for whoever runs this memory next (recovery segments).
         entry = self.entry
         trapped = None
-        if self.fast_entry is not None and memory.injector is None:
+        if memory.injector is None:
             entry = self.fast_entry
         elif self.trap_exact and getattr(memory.injector, "one_shot", False):
             entry = self.fast_entry
@@ -398,18 +299,11 @@ class CompiledKernel:
             memory.injector = None
             TRIAL_PATHS["trapped"] += 1
         try:
-            if probe_key is not None:
-                started = time.perf_counter()
-                entry(rt)
-                _vec.record_profit(
-                    probe_key, probe_seconds, time.perf_counter() - started
-                )
-            else:
-                entry(rt)
+            entry(rt)
         finally:
             if trapped is not None:
                 memory.injector = trapped
-        result = ExecutionResult(
+        return ExecutionResult(
             checksums=rt.checksums,
             mismatches=rt.mismatches,
             counts=rt.counts,
@@ -418,82 +312,10 @@ class CompiledKernel:
             spills=0,
             first_detection_step=rt.first_detection_step,
         )
-        if vout is not None:
-            _check_vector_identity(
-                self.program.name,
-                memory,
-                checksums,
-                result,
-                vclone_mem,
-                vclone_sums,
-                vout,
-            )
-        return result
-
-
-def _clone_memory(program: Program, run_params, memory: Memory) -> Memory:
-    """Injector-free copy of a memory image for differential runs.
-
-    A fresh build declares regions in the same order, so bases (and
-    with them the rotated-channel addresses) are identical by
-    construction.
-    """
-    clone = build_memory_for_program(program, run_params)
-    for name, region in memory._regions.items():
-        clone._regions[name].words[:] = list(region.words)
-        clone._regions[name].version = region.version
-    clone.load_count = memory.load_count
-    clone.store_count = memory.store_count
-    return clone
-
-
-def _clone_checksums(checksums: ChecksumState) -> ChecksumState:
-    clone = ChecksumState(channels=checksums.channels)
-    clone.sums = [dict(channel) for channel in checksums.sums]
-    clone.contribution_count = checksums.contribution_count
-    return clone
-
-
-def _check_vector_identity(
-    name, memory, checksums, result, vmem, vsums, vout
-) -> None:
-    """Compare every vector-contract field; raise on the first diff."""
-    problems = []
-    for rname, region in memory._regions.items():
-        if list(vmem._regions[rname].words) != list(region.words):
-            problems.append(f"final image of region {rname!r}")
-    if vsums.sums != checksums.sums:
-        problems.append("checksum sums")
-    if vsums.contribution_count != checksums.contribution_count:
-        problems.append("contribution count")
-    if vmem.load_count != memory.load_count:
-        problems.append(
-            f"load count {vmem.load_count} != {memory.load_count}"
-        )
-    if vmem.store_count != memory.store_count:
-        problems.append(
-            f"store count {vmem.store_count} != {memory.store_count}"
-        )
-    if vout["statements_executed"] != result.statements_executed:
-        problems.append(
-            f"steps {vout['statements_executed']} != "
-            f"{result.statements_executed}"
-        )
-    if vout["mismatches"] != list(result.mismatches):
-        problems.append("mismatch events")
-    if vout["first_detection_step"] != result.first_detection_step:
-        problems.append(
-            f"first detection {vout['first_detection_step']} != "
-            f"{result.first_detection_step}"
-        )
-    if problems:
-        raise VectorVerificationError(
-            f"vector backend diverged on {name!r}: " + "; ".join(problems)
-        )
 
 
 def ir_digest(program: Program) -> str:
-    """Stable content hash of an IR tree (the kernel cache key).
+    """Stable content hash of an IR tree (the kernel key's first half).
 
     ``repr`` of a frozen-dataclass tree is deterministic and complete
     (every field, every literal, including int/float distinction), so
@@ -502,18 +324,20 @@ def ir_digest(program: Program) -> str:
     return hashlib.sha256(repr(program).encode("utf-8")).hexdigest()
 
 
-#: Cached under keys ``(ir digest, opt level)`` — a level-0 and a
-#: level-2 kernel of the same program must never alias.
 KERNEL_CACHE_LIMIT = 128
+
+#: The code a kernel's sources are a function of, besides its IR: the
+#: second half of the kernel key, so a store directory that survives an
+#: edit to the emitter never serves the old generated sources.
+EMITTER_SOURCES = ("runtime/codegen.py", "runtime/opt/*.py")
 
 
 def _assemble_kernel(
     program: Program,
     digest: str,
-    level: int,
     source: str,
     checkpoint_source: str,
-    fast_source: str | None,
+    fast_source: str,
 ) -> CompiledKernel:
     """``exec`` already-generated sources into a kernel.
 
@@ -533,19 +357,12 @@ def _assemble_kernel(
         ),
         namespace,
     )
-    fast_entry = None
-    trap_exact = False
-    if fast_source is not None:
-        # Separate namespace: both sources define ``_kernel``.
-        fast_namespace = dict(_BASE_NAMESPACE)
-        exec(  # noqa: S102 - same closed-IR provenance
-            compile(
-                fast_source, f"<compiled-fast {program.name}>", "exec"
-            ),
-            fast_namespace,
-        )
-        fast_entry = fast_namespace["_kernel"]
-        trap_exact = fast_namespace.get("_TRAP_EXACT", False)
+    # Separate namespace: both sources define ``_kernel``.
+    fast_namespace = dict(_BASE_NAMESPACE)
+    exec(  # noqa: S102 - same closed-IR provenance
+        compile(fast_source, f"<compiled-fast {program.name}>", "exec"),
+        fast_namespace,
+    )
     return CompiledKernel(
         program=program,
         digest=digest,
@@ -554,23 +371,19 @@ def _assemble_kernel(
         checkpoint_source=checkpoint_source,
         checkpoint_entry=namespace["_checkpoint"],
         restore_entry=namespace["_restore"],
-        opt_level=level,
         fast_source=fast_source,
-        fast_entry=fast_entry,
-        trap_exact=trap_exact,
+        fast_entry=fast_namespace["_kernel"],
+        trap_exact=fast_namespace["_TRAP_EXACT"],
     )
 
 
-def _build_kernel(program: Program, digest: str, level: int) -> CompiledKernel:
-    opt = config_for_level(level)
-    source = generate_source(program, opt)
-    checkpoint_source = generate_checkpoint_source(program)
-    fast_source = None
-    if level >= 2:
-        fast_opt = config_for_level(level, inline_mem=True)
-        fast_source = generate_source(program, fast_opt)
+def _build_kernel(program: Program, digest: str) -> CompiledKernel:
     return _assemble_kernel(
-        program, digest, level, source, checkpoint_source, fast_source
+        program,
+        digest,
+        generate_source(program),
+        generate_checkpoint_source(program),
+        generate_source(program, inline_mem=True),
     )
 
 
@@ -583,7 +396,6 @@ def _kernel_encode(entry):
         "kind": "kernel",
         "program": entry.program,
         "digest": entry.digest,
-        "level": entry.opt_level,
         "source": entry.source,
         "checkpoint_source": entry.checkpoint_source,
         "fast_source": entry.fast_source,
@@ -600,7 +412,6 @@ def _kernel_decode(payload):
     return _assemble_kernel(
         payload["program"],
         payload["digest"],
-        payload["level"],
         payload["source"],
         payload["checkpoint_source"],
         payload["fast_source"],
@@ -619,37 +430,28 @@ def _kernel_ns():
     )
 
 
-def compile_program(
-    program: Program,
-    cache: bool = True,
-    opt_level: int | None = None,
-) -> CompiledKernel:
+def compile_program(program: Program, cache: bool = True) -> CompiledKernel:
     """Compile (or fetch from the cache) a kernel for ``program``.
 
-    ``opt_level`` selects the optimization pipeline (default
-    :data:`DEFAULT_OPT_LEVEL`); at level ≥ 2 the kernel carries a second
-    inlined-memory entry used on injector-free runs and, when the entry
-    is trap-exact, on one-shot injected runs.  Raises
+    The kernel carries two bodies: the hooked entry, and an
+    inlined-memory entry used on injector-free runs and, when that
+    entry is trap-exact, on one-shot injected runs.  Raises
     :class:`CompileError` when the program cannot be lowered; the
     failure itself is cached so repeated attempts stay cheap.
 
-    The cache is the ``kernel`` namespace of the unified artifact store;
+    The cache is the ``kernel`` namespace of the unified artifact store,
+    keyed on the IR digest and the digest of :data:`EMITTER_SOURCES`;
     with a shared disk directory configured, a kernel compiled by one
     process re-assembles everywhere else from its persisted sources.
     """
-    level = DEFAULT_OPT_LEVEL if opt_level is None else int(opt_level)
-    if level not in OPT_LEVELS:
-        raise ValueError(
-            f"opt level must be one of {OPT_LEVELS}, got {opt_level!r}"
-        )
     digest = ir_digest(program)
     if not cache:
-        return _build_kernel(program, digest, level)
-    key = (digest, level)
+        return _build_kernel(program, digest)
+    key = (digest, code_digest(*EMITTER_SOURCES))
 
     def build():
         try:
-            return _build_kernel(program, digest, level)
+            return _build_kernel(program, digest)
         except CompileError as error:
             return error
 
@@ -657,10 +459,6 @@ def compile_program(
     if isinstance(entry, CompileError):
         raise entry
     return entry
-
-
-def kernel_cache_stats() -> dict[str, int]:
-    return _kernel_ns().stats()
 
 
 def clear_kernel_cache() -> None:
@@ -680,9 +478,6 @@ def run_compiled(
     register_budget: int | None = None,
     halt_on_mismatch: bool = False,
     fallback: bool = True,
-    opt_level: int | None = None,
-    vectorize: bool = False,
-    verify_vector: bool = False,
 ) -> ExecutionResult:
     """``run_program`` signature, compiled backend.
 
@@ -690,9 +485,6 @@ def run_compiled(
     ``register_budget``, which the kernel cannot model — reruns through
     the interpreter; ``fallback=False`` surfaces the error (used by the
     differential tests to prove no silent fallback happened).
-    ``vectorize``/``verify_vector`` thread through to
-    :meth:`CompiledKernel.execute` (no effect on interpreter reruns —
-    the vector backend only shadows the compiled kernel).
     """
     if register_budget is not None:
         if not fallback:
@@ -711,7 +503,7 @@ def run_compiled(
             halt_on_mismatch=halt_on_mismatch,
         )
     try:
-        kernel = compile_program(program, opt_level=opt_level)
+        kernel = compile_program(program)
     except CompileError:
         if not fallback:
             raise
@@ -733,8 +525,6 @@ def run_compiled(
         max_steps=max_steps,
         wild_reads=wild_reads,
         halt_on_mismatch=halt_on_mismatch,
-        vectorize=vectorize,
-        verify_vector=verify_vector,
     )
 
 
@@ -744,20 +534,10 @@ def execute_program(
     backend: str = "compiled",
     **kwargs,
 ) -> ExecutionResult:
-    """Backend dispatcher: one of :data:`BACKENDS`.
-
-    ``"vector"`` is the compiled backend with vector dispatch enabled —
-    still probe-gated and injector-guarded, never a forced vector run.
-    """
+    """Backend dispatcher: one of :data:`BACKENDS`."""
     if backend == "interp":
-        kwargs.pop("opt_level", None)  # interpreter has no optimizer
-        kwargs.pop("vectorize", None)
-        kwargs.pop("verify_vector", None)
         return run_program(program, params, **kwargs)
     if backend == "compiled":
-        return run_compiled(program, params, **kwargs)
-    if backend == "vector":
-        kwargs.setdefault("vectorize", True)
         return run_compiled(program, params, **kwargs)
     raise ValueError(
         f"unknown backend {backend!r}; expected one of {BACKENDS}"

@@ -26,11 +26,11 @@ _np = None
 def lazy_numpy():
     """Module-level lazy numpy import (one attribute check per call).
 
-    The bulk helpers (:meth:`Memory.initialize`, :meth:`Memory.to_array`,
-    :meth:`Memory.region_words_array`) sit on the vector backend's hot
-    path; a function-local ``import numpy`` per call costs a sys.modules
-    lookup each time and keeps numpy a hard dependency of module import
-    if hoisted naively — this helper does neither.
+    The bulk helpers (:meth:`Memory.initialize`, :meth:`Memory.to_array`)
+    run on every campaign trial; a function-local ``import numpy`` per
+    call costs a sys.modules lookup each time and keeps numpy a hard
+    dependency of module import if hoisted naively — this helper does
+    neither.
     """
     global _np
     if _np is None:
@@ -443,16 +443,6 @@ class Memory:
             else words.view(np.int64)
         )
         return arr.reshape(region.shape) if region.shape else arr.reshape(())
-
-    def region_words_array(self, name: str):
-        """A region's raw words as a fresh ``uint64`` array (no hooks).
-
-        The vector backend builds its transactional mirrors from this,
-        and the batched campaign runner uses it for ``(T, words)`` golden
-        comparison images.
-        """
-        np = lazy_numpy()
-        return np.array(self._region(name).words, dtype=np.uint64)
 
     def snapshot(self) -> dict[str, list[int]]:
         """Raw words of every region (for corruption diffing in tests)."""

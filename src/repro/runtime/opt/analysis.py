@@ -43,8 +43,6 @@ Provided analyses:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from dataclasses import dataclass
 
 from repro.ir.analysis import to_affine
@@ -580,34 +578,3 @@ def loop_trip_at_most_one(lower: Expr, upper: Expr, names) -> bool:
                 return True
     return False
 
-
-def integer_rows_rank(rows, names) -> int:
-    """Rank of the coefficient submatrix of affine ``int_row`` rows
-    restricted to ``names`` (ordered).  Full column rank over a vector
-    nest's band variables proves the write map is injective across
-    lanes — distinct lanes always store to distinct cells."""
-    matrix = [
-        [Fraction(dict(row[0]).get(name, 0)) for name in names]
-        for row in rows
-    ]
-    rank = 0
-    cols = len(names)
-    row_at = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row_at, len(matrix)):
-            if matrix[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        lead = matrix[row_at][col]
-        for r in range(row_at + 1, len(matrix)):
-            if matrix[r][col] != 0:
-                factor = matrix[r][col] / lead
-                for c in range(col, cols):
-                    matrix[r][c] -= factor * matrix[row_at][c]
-        row_at += 1
-        rank += 1
-    return rank

@@ -2,9 +2,10 @@
 
 Every expensive artifact the toolchain computes is a pure function of
 content we already digest: golden runs key on the campaign spec's
-golden digest, compiled kernels on the IR digest (+ opt level + batch
-shape), instrumented programs on the printed-IR SHA-256, the ISL memos
-on canonical constraint-system hashes.  Before this module each owner
+golden digest, compiled kernels on the IR digest and the emitter's
+:func:`code_digest`, instrumented programs on the printed-IR SHA-256
+and the instrumenter's :func:`code_digest`, the ISL memos on canonical
+constraint-system hashes.  Before this module each owner
 kept a private ``OrderedDict`` with its own counters, its own eviction
 loop, and (for the instrumentation cache) its own disk layer — and N
 campaign worker processes each re-warmed all four.
@@ -28,7 +29,8 @@ The store is one get-or-compute layer shared by all of them:
   :func:`counters_delta` let campaign workers ship monotone counter
   deltas back to the driver, so ``campaign run``/``report`` show
   *aggregate* hit/miss numbers instead of silently dropping every
-  worker's view when the worker exits.
+  worker's view when the worker exits.  :func:`store_stats` is the one
+  place to read a namespace's counters.
 
 The content-addressing contract is the owners' to keep: a namespace
 key must capture everything the artifact depends on.  The store only
@@ -38,6 +40,7 @@ across processes through the disk layer).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -290,6 +293,33 @@ def store_stats() -> dict[str, dict[str, int]]:
     return {name: ns.stats() for name, ns in sorted(_NAMESPACES.items())}
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest(*patterns: str) -> str:
+    """SHA-256 (16 hex digits) over the ``repro`` source files matching
+    ``patterns`` (globs relative to the package directory).
+
+    An owner folds this into its keys when its artifacts are outputs of
+    that code, so an on-disk store directory can never serve entries
+    produced by a *different version* of it: editing any matched file
+    changes every key, and the stale pickles simply stop being
+    addressed.  Computed once per process (the sources cannot change
+    under a running process we care about), from the files in sorted
+    order.
+    """
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted({path for pattern in patterns for path in root.glob(pattern)})
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        try:
+            digest.update(path.read_bytes())
+        except OSError:
+            pass
+        digest.update(b"\0")
+    return digest.hexdigest()[:16]
+
+
 def clear_store() -> None:
     """Drop every namespace's memory layer and counters (tests)."""
     for ns in _NAMESPACES.values():
@@ -315,13 +345,10 @@ TRIAL_PATHS = {"carriers": 0, "forked": 0, "trapped": 0}
 
 
 def counters_snapshot() -> dict[str, dict]:
-    """Everything a campaign worker reports deltas of: store counters,
-    the vector backend's dispatch counters and the trial paths."""
-    from repro.runtime.vector import vector_stats
-
+    """Everything a campaign worker reports deltas of: store counters
+    and the trial paths."""
     return {
         "store": store_counters(),
-        "vector": dict(vector_stats()),
         "trials": dict(TRIAL_PATHS),
     }
 
@@ -344,7 +371,6 @@ def counters_delta(now: dict, base: dict | None) -> dict:
             name: _diff_flat(flat, base_store.get(name, {}))
             for name, flat in now.get("store", {}).items()
         },
-        "vector": _diff_flat(now.get("vector", {}), base.get("vector", {})),
         "trials": _diff_flat(now.get("trials", {}), base.get("trials", {})),
     }
 
@@ -356,25 +382,10 @@ def counters_add(total: dict, delta: dict) -> dict:
         into = total.setdefault("store", {}).setdefault(name, {})
         for key, value in flat.items():
             into[key] = into.get(key, 0) + value
-    for group in ("vector", "trials"):
-        into = total.setdefault(group, {})
-        for key, value in delta.get(group, {}).items():
-            into[key] = into.get(key, 0) + value
+    into = total.setdefault("trials", {})
+    for key, value in delta.get("trials", {}).items():
+        into[key] = into.get(key, 0) + value
     return total
-
-
-def merged_store_stats(extra: dict[str, dict] | None) -> dict[str, dict]:
-    """This process's :func:`store_stats` with worker counter deltas
-    folded in (``size``/``limit`` stay the local gauges)."""
-    stats = store_stats()
-    for name, flat in (extra or {}).items():
-        entry = stats.setdefault(
-            name,
-            {field: 0 for field in COUNTER_FIELDS} | {"size": 0, "limit": 0},
-        )
-        for field in COUNTER_FIELDS:
-            entry[field] = entry.get(field, 0) + flat.get(field, 0)
-    return stats
 
 
 def namespace_hit_rate(

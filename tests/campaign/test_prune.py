@@ -65,14 +65,6 @@ def test_predicted_records_marked():
         assert record.extra["fault_model"] == "random_cell"
 
 
-def test_vector_stats_surfaced():
-    result = run_campaign(_spec(trials=5))
-    assert result.vector is not None
-    assert set(result.vector) == {
-        "runs", "fallbacks", "probes", "engaged_keys", "scalar_keys"
-    }
-
-
 def test_prune_resume_safe(tmp_path):
     """Predicted records land in the log like any other trial: a
     resumed campaign re-executes nothing and reproduces the result."""

@@ -170,7 +170,7 @@ class TestBitIdentity:
         )
         assert_matches_replay(spec, workers, tmp_path, fork_gate)
 
-    @pytest.mark.parametrize("backend", ("interp", "compiled", "vector"))
+    @pytest.mark.parametrize("backend", ("interp", "compiled"))
     def test_every_backend(self, workers, backend, fork_gate, tmp_path):
         spec = _program_spec(backend=backend)
         assert_matches_replay(spec, workers, tmp_path, fork_gate)

@@ -117,6 +117,35 @@ class TestSpecRoundTrips:
             spec_from_dict({"kind": "quantum"})
 
 
+class TestLegacyHeaders:
+    """Log headers written before an execution knob was removed still
+    read back as the spec that would record the same trials."""
+
+    SPEC = ProgramCampaignSpec(
+        trials=4, seed=3, benchmark="cholesky", scale="small",
+        backend="compiled",
+    )
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("batch", 8), ("opt_level", 0), ("verify_vector", True)],
+    )
+    def test_removed_knob_dropped(self, key, value):
+        header = dict(self.SPEC.to_dict(), **{key: value})
+        assert spec_from_dict(header) == self.SPEC
+
+    def test_vector_backend_reads_as_compiled(self):
+        header = dict(self.SPEC.to_dict(), backend="vector", opt_level=2)
+        again = spec_from_dict(header)
+        assert again == self.SPEC
+        assert again.digest() == self.SPEC.digest()
+
+    def test_other_unknown_field_still_rejected(self):
+        header = dict(self.SPEC.to_dict(), turbo=True)
+        with pytest.raises(ValueError):
+            spec_from_dict(header)
+
+
 class TestInitialValues:
     def test_kinds(self):
         import numpy as np

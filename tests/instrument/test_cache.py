@@ -18,6 +18,7 @@ from repro.instrument.pipeline import (
 )
 from repro.ir.parser import parse_program
 from repro.ir.printer import program_to_text
+from repro.service.store import store_stats
 
 PROGRAM_TEXT = """
 program p(n) {
@@ -55,7 +56,7 @@ class TestMemoryLayer:
         assert second[0] is first[0]  # shared frozen instance
         assert program_to_text(first[0]) == program_to_text(fresh_program)
         assert set(first[1].plans) == set(fresh_report.plans)
-        stats = icache.cache_stats()
+        stats = store_stats()["instrument"]
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_distinct_options_distinct_keys(self, program):
@@ -65,7 +66,7 @@ class TestMemoryLayer:
         instrument_cached(program, plain)
         # Same program, different options: two independent entries even
         # when the instrumented output happens to coincide.
-        stats = icache.cache_stats()
+        stats = store_stats()["instrument"]
         assert stats["misses"] == 2 and stats["size"] == 2
 
     def test_distinct_programs_distinct_keys(self, program):
@@ -77,11 +78,28 @@ class TestMemoryLayer:
             program, InstrumentationOptions()
         )
 
+    def test_backends_share_one_entry(self):
+        """Instrumentation never reads the backend: an interpreter and
+        a compiled campaign on the same program and options make one
+        miss, then a hit."""
+        from repro.campaign import ProgramCampaignSpec, run_campaign
+        from repro.campaign.golden import clear_cache
+
+        clear_cache()
+        for backend in ("interp", "compiled"):
+            spec = ProgramCampaignSpec(
+                trials=2, seed=3, program_text=PROGRAM_TEXT,
+                params={"n": 6}, backend=backend,
+            )
+            run_campaign(spec)
+        stats = store_stats()["instrument"]
+        assert stats["misses"] == 1 and stats["hits"] == 1
+
     def test_lru_eviction(self, program):
         icache.set_cache_limit(1)
         instrument_cached(program, OPT)
         instrument_cached(program, InstrumentationOptions())
-        stats = icache.cache_stats()
+        stats = store_stats()["instrument"]
         assert stats["size"] == 1
         assert stats["evictions"] == 1
 
@@ -92,7 +110,7 @@ class TestDiskLayer:
         first = instrument_cached(program, OPT)
         icache.clear_cache()  # drop memory, keep disk
         second = instrument_cached(program, OPT)
-        stats = icache.cache_stats()
+        stats = store_stats()["instrument"]
         assert stats["disk_hits"] == 1 and stats["misses"] == 0
         assert program_to_text(second[0]) == program_to_text(first[0])
         assert set(second[1].plans) == set(first[1].plans)
@@ -104,19 +122,19 @@ class TestDiskLayer:
         path.write_bytes(b"not a pickle")
         icache.clear_cache()
         second = instrument_cached(program, OPT)
-        assert icache.cache_stats()["misses"] == 1  # recomputed
+        assert store_stats()["instrument"]["misses"] == 1  # recomputed
         assert program_to_text(second[0]) == program_to_text(first[0])
         # The recompute rewrote a valid entry.
         icache.clear_cache()
         instrument_cached(program, OPT)
-        assert icache.cache_stats()["disk_hits"] == 1
+        assert store_stats()["instrument"]["disk_hits"] == 1
 
     def test_wrong_payload_type_rejected(self, program, tmp_path):
         icache.set_cache_dir(tmp_path)
         path = tmp_path / f"{cache_key(program, OPT)}.pkl"
         path.write_bytes(pickle.dumps({"not": "an entry"}))
         instrument_cached(program, OPT)
-        assert icache.cache_stats()["misses"] == 1
+        assert store_stats()["instrument"]["misses"] == 1
 
     def test_env_var_enables_disk(self, program, tmp_path, monkeypatch):
         monkeypatch.setenv(icache.ENV_CACHE_DIR, str(tmp_path))

@@ -181,9 +181,11 @@ def test_slow_path_restores_fast_path():
 
 
 def test_memo_stats_count_hits():
+    from repro.service.store import store_stats
+
     fastpath.clear_memo()
     constraints = box_constraints()
     BasicSet(SPACE, list(constraints)).is_empty()
-    before = fastpath.memo_stats()["hits"]
+    before = store_stats()["isl_empty"]["hits"]
     BasicSet(SPACE, list(constraints)).is_empty()
-    assert fastpath.memo_stats()["hits"] == before + 1
+    assert store_stats()["isl_empty"]["hits"] == before + 1

@@ -27,11 +27,11 @@ from repro.runtime.compile import (
     clear_kernel_cache,
     compile_program,
     ir_digest,
-    kernel_cache_stats,
     run_compiled,
 )
 from repro.runtime.faults import RandomCellFlipper
 from repro.runtime.interpreter import run_program
+from repro.service.store import set_store_dir, store_stats
 
 OPTIMIZED = InstrumentationOptions(
     index_set_splitting=True, hoist_inspectors=True
@@ -140,9 +140,35 @@ class TestKernelCache:
         first = compile_program(program)
         second = compile_program(program)
         assert first is second
-        stats = kernel_cache_stats()
+        assert first.fast_source != first.source  # two bodies
+        stats = store_stats()["kernel"]
         assert stats["misses"] == 1
         assert stats["hits"] == 1
+
+    def test_emitter_edit_changes_the_key(self, tmp_path, monkeypatch):
+        """A store directory that survives an edit to the emitter must
+        not serve the old generated sources."""
+        from repro.runtime import compile as compile_mod
+
+        program = ALL_BENCHMARKS["jacobi1d"].program()
+        set_store_dir(tmp_path)
+        try:
+            clear_kernel_cache()
+            compile_program(program)
+            clear_kernel_cache()
+            compile_program(program)
+            assert store_stats()["kernel"]["disk_hits"] == 1
+            current = compile_mod.code_digest(*compile_mod.EMITTER_SOURCES)
+            monkeypatch.setattr(
+                compile_mod, "code_digest", lambda *patterns: current + "-x"
+            )
+            clear_kernel_cache()
+            compile_program(program)
+            stats = store_stats()["kernel"]
+            assert stats["misses"] == 1 and stats["disk_hits"] == 0
+        finally:
+            set_store_dir(None)
+            clear_kernel_cache()
 
     def test_register_budget_falls_back(self):
         program, params, values = _build("jacobi1d", instrumented=True)

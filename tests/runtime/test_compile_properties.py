@@ -64,6 +64,8 @@ def test_roundtrip_preserves_balance(seed, n):
     assert interp.counts == compiled.counts
     assert interp.statements_executed == compiled.statements_executed
     assert interp.memory.snapshot() == compiled.memory.snapshot()
+    assert interp.memory.load_count == compiled.memory.load_count
+    assert interp.memory.store_count == compiled.memory.store_count
 
     # (c) fault-free instrumented runs stay balanced on every channel.
     assert not compiled.mismatches

@@ -83,15 +83,19 @@ def test_backends_identical_recovery_outcomes(model, name):
 
 @pytest.mark.parametrize("model", FAULT_MODELS)
 def test_trial_records_replayable(model):
-    """Any single trial replays to the same canonical record, alone."""
+    """Any single trial replays to the same canonical record, alone —
+    through the caches, or against one explicitly shared context."""
     from repro.campaign.engine import replay_trial
 
     spec = _spec(model, "trisolv", "compiled", trials=4)
     result = run_campaign(spec, workers=1)
+    prepared = spec.prepare()
     for record in result.records:
-        assert replay_trial(spec, record.index).canonical() == (
-            record.canonical()
-        )
+        for replay in (
+            replay_trial(spec, record.index),
+            replay_trial(spec, record.index, prepared=prepared),
+        ):
+            assert replay.canonical() == record.canonical()
 
 
 def test_worker_count_invariant_for_new_models():
@@ -154,18 +158,13 @@ def test_trap_body_matches_interpreter(model, name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
 def test_trap_exactness(name):
-    """Only level-2 kernels whose every load site is inlined may run
-    injected trials on the inline body: the eight affine benchmarks.
-    cg and moldyn load through Memory methods, and levels 0 and 1 have
-    no inline entry at all."""
+    """Only kernels whose every load site is inlined may run injected
+    trials on the inline body: the eight affine benchmarks.  cg and
+    moldyn load through Memory methods."""
     from repro.runtime.compile import compile_program
 
     program = _spec("random_cell", name, "compiled").prepare().program
-    for level in (0, 1):
-        assert not compile_program(program, opt_level=level).trap_exact
-    assert compile_program(program, opt_level=2).trap_exact == (
-        name not in IRREGULAR
-    )
+    assert compile_program(program).trap_exact == (name not in IRREGULAR)
 
 
 def test_recovery_trigger_after_first_segment():

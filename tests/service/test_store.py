@@ -206,31 +206,31 @@ class TestCounterAggregation:
     def test_delta_and_add_roundtrip(self):
         base = {
             "store": {"golden": {"hits": 1, "misses": 2}},
-            "vector": {"probes": 3},
+            "trials": {"carriers": 3},
         }
         now = {
             "store": {
                 "golden": {"hits": 4, "misses": 2},
                 "kernel": {"hits": 1, "misses": 1},
             },
-            "vector": {"probes": 5, "runs": 2},
+            "trials": {"carriers": 5, "forked": 2},
         }
         delta = counters_delta(now, base)
         assert delta["store"]["golden"] == {"hits": 3, "misses": 0}
         assert delta["store"]["kernel"] == {"hits": 1, "misses": 1}
-        assert delta["vector"] == {"probes": 2, "runs": 2}
+        assert delta["trials"] == {"carriers": 2, "forked": 2}
         total = {}
         counters_add(total, delta)
         counters_add(total, delta)
         assert total["store"]["golden"]["hits"] == 6
-        assert total["vector"]["probes"] == 4
+        assert total["trials"]["carriers"] == 4
 
     def test_delta_clamps_at_zero(self):
         # A replaced worker restarts its counters; a shrinking counter
         # must not poison the aggregate with negative numbers.
         delta = counters_delta(
-            {"store": {"g": {"hits": 1}}, "vector": {}},
-            {"store": {"g": {"hits": 5}}, "vector": {}},
+            {"store": {"g": {"hits": 1}}, "trials": {}},
+            {"store": {"g": {"hits": 5}}, "trials": {}},
         )
         assert delta["store"]["g"]["hits"] == 0
 
@@ -242,3 +242,31 @@ class TestCounterAggregation:
         assert namespace_hit_rate(stats, ("golden",)) == 0.9
         assert namespace_hit_rate(stats) == 0.45
         assert namespace_hit_rate({}) == 0.0
+
+
+class TestCodeDigest:
+    """The one hasher behind code-versioned keys (kernels, instrument)."""
+
+    def test_hashes_paths_and_contents(self):
+        import hashlib
+        from pathlib import Path
+
+        root = Path(store_mod.__file__).resolve().parent.parent
+        path = root / "runtime" / "codegen.py"
+        expected = hashlib.sha256(
+            b"runtime/codegen.py\0" + path.read_bytes() + b"\0"
+        ).hexdigest()[:16]
+        uncached = store_mod.code_digest.__wrapped__
+        assert uncached("runtime/codegen.py") == expected
+        assert store_mod.code_digest("runtime/codegen.py") == expected
+
+    def test_scoped_by_pattern(self):
+        from repro.runtime.compile import EMITTER_SOURCES
+
+        emitter = store_mod.code_digest(*EMITTER_SOURCES)
+        assert emitter == store_mod.code_digest(*reversed(EMITTER_SOURCES))
+        assert emitter != store_mod.code_digest("runtime/codegen.py")
+        assert emitter != store_mod.code_digest("instrument/*.py")
+        assert store_mod.code_digest("no/such/*.py") == (
+            store_mod.code_digest("no/other/*.py")
+        )

@@ -79,3 +79,17 @@ def test_version():
 
     major, *_ = repro.__version__.split(".")
     assert int(major) >= 1
+
+
+def test_removed_vector_backend_leaves_noop_names():
+    """The end-to-end benchmark resets vector caches between rounds and
+    reads ``CampaignResult.vector``; both names outlive the backend."""
+    from repro.campaign import ProgramCampaignSpec, run_campaign
+    from repro.runtime.vector import clear_dispatch_caches, clear_profit_memo
+
+    assert clear_dispatch_caches() is None
+    assert clear_profit_memo() is None
+    spec = ProgramCampaignSpec(
+        trials=2, seed=1, benchmark="trisolv", scale="small"
+    )
+    assert run_campaign(spec).vector is None

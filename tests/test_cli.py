@@ -180,18 +180,46 @@ class TestCampaign:
         # The stats trailer carries the run's trial paths to the report.
         assert paths[0] in report_out.splitlines()
 
-        # A trailer written before trial paths existed prints no line.
+        # A trailer written before trial paths existed prints no line,
+        # and the vector group such trailers carried prints nothing.
         with open(log) as handle:
             lines = handle.readlines()
         trailer = json.loads(lines[-1])
         del trailer["trials"]
+        trailer["vector"] = {"runs": 3, "fallbacks": 1, "probes": 4,
+                             "engaged_keys": 1, "scalar_keys": 1}
         lines[-1] = json.dumps(trailer) + "\n"
         with open(log, "w") as handle:
             handle.writelines(lines)
         assert main(["campaign", "report", log]) == 0
         old_out = capsys.readouterr().out
+        assert "4/4 trials" in old_out
         assert "artifact store:" in old_out
         assert "trial paths" not in old_out
+        assert "vector backend" not in old_out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "PROGRAM", "--opt-level", "1"],
+        ["campaign", "run", "--benchmark", "jacobi1d", "--opt-level", "0"],
+        ["campaign", "serve", "--benchmark", "jacobi1d", "--workers", "2",
+         "--opt-level", "2"],
+        ["campaign", "run", "--benchmark", "jacobi1d", "--verify-vector"],
+        ["campaign", "serve", "--benchmark", "jacobi1d", "--workers", "2",
+         "--verify-vector"],
+        ["run", "PROGRAM", "--backend", "vector"],
+        ["campaign", "run", "--benchmark", "jacobi1d", "--backend", "vector"],
+    ], ids=["run-opt-level", "campaign-run-opt-level",
+            "campaign-serve-opt-level", "campaign-run-verify-vector",
+            "campaign-serve-verify-vector", "run-backend-vector",
+            "campaign-run-backend-vector"])
+    def test_removed_flags_are_usage_errors(self, argv, demo_file, capsys):
+        argv = [demo_file if arg == "PROGRAM" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("repro") and "error:" in err[-1]
+        assert "Traceback" not in "\n".join(err)
 
     def test_prune_static(self, capsys):
         code = main(
@@ -244,7 +272,9 @@ class TestCampaign:
             main(["campaign", "run", "--trials", "2"])
 
     #: A program-campaign log header as written before batched
-    #: execution was removed: it still carries ``"batch": 1``.
+    #: execution, the opt levels and the vector backend were removed:
+    #: it still carries ``"batch"``, ``"opt_level"`` and
+    #: ``"verify_vector"``.
     LEGACY_HEADER = (
         '{"type": "header", "version": 1, "spec": {"trials": 12, '
         '"seed": 5, "program_text": null, "benchmark": "jacobi1d", '
@@ -265,20 +295,30 @@ class TestCampaign:
             trials=12, seed=5, benchmark="jacobi1d", scale="small"
         )
         reference = run_campaign(spec, workers=1).records
-        log = str(tmp_path / "legacy.jsonl")
-        with open(log, "w") as handle:
-            handle.write(self.LEGACY_HEADER)
-            for record in reference[:5]:
-                write_record(handle, record)
-        assert main(["campaign", "report", log]) == 0
-        assert "5/12 trials" in capsys.readouterr().out
-        assert main(["campaign", "resume", log, "--workers", "2"]) == 0
-        assert "5 recovered from log" in capsys.readouterr().out
-        contents = read_log(log)
-        assert [r.canonical() for r in contents.records] == [
-            r.canonical() for r in reference
-        ]
-        assert contents.spec_dict == spec.to_dict()
+        headers = {
+            "batch": self.LEGACY_HEADER,
+            "opt_level0": self.LEGACY_HEADER.replace(
+                '"opt_level": 2', '"opt_level": 0'
+            ),
+            "vector": self.LEGACY_HEADER.replace(
+                '"backend": "compiled"', '"backend": "vector"'
+            ).replace('"verify_vector": false', '"verify_vector": true'),
+        }
+        for name, header in headers.items():
+            log = str(tmp_path / f"legacy-{name}.jsonl")
+            with open(log, "w") as handle:
+                handle.write(header)
+                for record in reference[:5]:
+                    write_record(handle, record)
+            assert main(["campaign", "report", log]) == 0
+            assert "5/12 trials" in capsys.readouterr().out
+            assert main(["campaign", "resume", log, "--workers", "2"]) == 0
+            assert "5 recovered from log" in capsys.readouterr().out
+            contents = read_log(log)
+            assert [r.canonical() for r in contents.records] == [
+                r.canonical() for r in reference
+            ], name
+            assert contents.spec_dict == spec.to_dict()
 
     def test_report_rejects_unknown_spec_field(self, tmp_path):
         log = tmp_path / "future.jsonl"
