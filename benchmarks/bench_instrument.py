@@ -2,15 +2,21 @@
 
 Times ``instrument_program`` on the Resilient-Optimized configuration
 (index-set splitting + inspector hoisting — the most analysis-heavy
-build) three ways per benchmark and writes ``BENCH_instrument.json``:
+build) per benchmark and writes ``BENCH_instrument.json``.  Every timed
+slow and fast repeat starts from a cleared artifact store, so it
+computes its own polyhedral analysis (the ``poly`` namespace) and ISL
+memos:
 
 * **slow_s** — the ISL slow path (:func:`repro.isl.fastpath.slow_path`:
   gist pruning, emptiness/FM memoization and the subset short-circuit
   disabled).  This is the same-machine comparison the ``--fail-below``
   gate uses (CI runs ``--quick --fail-below 1.0``: the fast path must
   never lose).
-* **fast_s** — the fast path, memo cleared before every repeat, so each
-  measurement is a *cold* compile.
+* **fast_s** — the fast path, each repeat a *cold* compile.
+* **pair_cold_s** — Figure 10's pair from a cleared store: Resilient,
+  then Resilient-Optimized, as
+  :func:`repro.experiments.figure10.build_benchmark` builds them (the
+  second reads the first's shared analysis).
 * **cached_s** — a content-addressed instrumentation-cache hit
   (:mod:`repro.instrument.cache`), the steady-state cost for campaign
   sweeps and repeated harness runs.
@@ -40,21 +46,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.experiments.figure10 import OPTIMIZED, RESILIENT  # noqa: E402
 from repro.instrument.cache import (  # noqa: E402
     clear_cache,
     instrument_cached,
 )
-from repro.instrument.pipeline import (  # noqa: E402
-    InstrumentationOptions,
-    instrument_program,
-)
+from repro.instrument.pipeline import instrument_program  # noqa: E402
 from repro.ir.printer import program_to_text  # noqa: E402
 from repro.isl import fastpath  # noqa: E402
 from repro.programs import ALL_BENCHMARKS  # noqa: E402
-
-OPTIMIZED = InstrumentationOptions(
-    index_set_splitting=True, hoist_inspectors=True
-)
+from repro.service.store import clear_store  # noqa: E402
 
 # Wall-clock of this protocol (min of 3 cold repeats) at commit
 # 7658625 — the tree before the fast compile path — on the reference
@@ -81,6 +82,7 @@ def bench_one(name: str, repeats: int) -> dict:
     slow_text = None
     with fastpath.slow_path():
         for _ in range(repeats):
+            clear_store()
             start = time.perf_counter()
             slow_program, _ = instrument_program(program, OPTIMIZED)
             slow_s = min(slow_s, time.perf_counter() - start)
@@ -88,7 +90,7 @@ def bench_one(name: str, repeats: int) -> dict:
 
     fast_s = float("inf")
     for _ in range(repeats):
-        fastpath.clear_memo()
+        clear_store()
         start = time.perf_counter()
         fast_program, _ = instrument_program(program, OPTIMIZED)
         fast_s = min(fast_s, time.perf_counter() - start)
@@ -98,6 +100,14 @@ def bench_one(name: str, repeats: int) -> dict:
     assert program_to_text(fast_program) == slow_text, (
         f"{name}: fast and slow ISL paths disagree"
     )
+
+    pair_cold_s = float("inf")
+    for _ in range(repeats):
+        clear_store()
+        start = time.perf_counter()
+        instrument_program(program, RESILIENT)
+        instrument_program(program, OPTIMIZED)
+        pair_cold_s = min(pair_cold_s, time.perf_counter() - start)
 
     clear_cache()
     instrument_cached(program, OPTIMIZED)  # populate
@@ -112,6 +122,7 @@ def bench_one(name: str, repeats: int) -> dict:
         "benchmark": name,
         "slow_s": slow_s,
         "fast_s": fast_s,
+        "pair_cold_s": pair_cold_s,
         "cached_s": cached_s,
         "speedup": slow_s / fast_s,
         "pre_pr_baseline_s": baseline_s,
@@ -171,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{row['benchmark']:<10} slow={row['slow_s'] * 1000:9.1f}ms "
             f"fast={row['fast_s'] * 1000:9.1f}ms "
+            f"pair={row['pair_cold_s'] * 1000:9.1f}ms "
             f"cached={row['cached_s'] * 1000:7.2f}ms "
             f"speedup={row['speedup']:6.2f}x{vs_pre}"
         )

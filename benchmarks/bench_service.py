@@ -29,7 +29,7 @@ from repro.campaign.golden import clear_cache as clear_golden  # noqa: E402
 from repro.instrument.cache import clear_cache as clear_instrument  # noqa: E402
 from repro.runtime.compile import clear_kernel_cache  # noqa: E402
 from repro.service import set_store_dir  # noqa: E402
-from repro.service.store import namespace_hit_rate  # noqa: E402
+from repro.service.store import clear_store, namespace_hit_rate  # noqa: E402
 
 
 def _canonical(result) -> list[dict]:
@@ -38,10 +38,14 @@ def _canonical(result) -> list[dict]:
 
 def _drop_local_caches() -> None:
     """Forget every in-process artifact so the next run starts cold
-    (forked workers inherit the driver's memory caches otherwise)."""
+    (forked workers inherit the driver's memory caches otherwise): the
+    golden, kernel and instrument caches and the memory-only
+    namespaces (``poly`` analyses, ISL memos).  The disk store is
+    untouched."""
     clear_golden()
     clear_kernel_cache()
     clear_instrument()
+    clear_store()
 
 
 def bench_spec(spec: ProgramCampaignSpec, workers: int, store: Path) -> dict:

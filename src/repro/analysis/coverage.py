@@ -16,7 +16,9 @@ The polyhedral side (``poly`` section) reports the symbolic
 ingredients the same prediction rests on: per-statement instance
 cardinalities counted with :func:`repro.isl.counting.count_points` and
 per-array live-in read-count polynomials over cell coordinates from
-:func:`repro.poly.usecount.compute_live_in_counts` — the piecewise
+:func:`repro.poly.usecount.compute_live_in_counts` over the program's
+shared model and dependences
+(:func:`repro.poly.analysis.program_analysis`) — the piecewise
 use-count machinery the instrumentation itself is built from.
 
 Benchmarks whose event stream is data-dependent (``cg``, ``moldyn``)
@@ -333,15 +335,15 @@ class CoverageAnalyzer:
 def _poly_section(program, params: dict[str, int]) -> dict:
     """Symbolic cardinalities: statement domains + live-in read counts."""
     from repro.isl.counting import CountingError, count_points
-    from repro.poly.dependences import compute_flow_dependences
-    from repro.poly.model import ModelError, extract_model
+    from repro.poly.analysis import program_analysis
+    from repro.poly.model import ModelError
     from repro.poly.usecount import compute_live_in_counts
 
+    analysis = program_analysis(program)
     try:
-        model = extract_model(program)
         statements = {}
         total = 0
-        for info in model.statements:
+        for info in analysis.model.statements:
             counted = count_points(info.domain)
             instances = int(counted.evaluate(params))
             total += instances
@@ -349,11 +351,10 @@ def _poly_section(program, params: dict[str, int]) -> dict:
                 "cardinality": str(counted),
                 "instances": instances,
             }
-        dependences = compute_flow_dependences(model)
         live_in = {
             name: str(poly)
             for name, poly in compute_live_in_counts(
-                model, dependences
+                analysis.model, analysis.dependences
             ).items()
         }
     except (CountingError, ModelError) as exc:
@@ -363,7 +364,7 @@ def _poly_section(program, params: dict[str, int]) -> dict:
         "statement_instances": statements,
         "total_instances": total,
         "live_in_reads": live_in,
-        "flow_dependences": len(dependences),
+        "flow_dependences": len(analysis.dependences),
     }
 
 

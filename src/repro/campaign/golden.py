@@ -19,6 +19,12 @@ the disk codec strips them and records whether there was one, and a
 load recompiles through the kernel namespace (itself disk-backed by
 generated source, so the rebuild is an exec, not a codegen run).
 
+Every key is folded with the code digest of the whole ``repro``
+package: a golden value is an output of nearly all of it (a prepared
+campaign context holds the instrumented program, Figure 10's counts
+run every build), so a disk directory that survives an edit to any
+source file stops serving the entries the old code made.
+
 Counters route through the store, so ``campaign run``/``report`` can
 show *aggregate* hit/miss numbers merged across worker processes
 instead of silently dropping every worker's private view when the
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Hashable, TypeVar
 
-from repro.service.store import namespace
+from repro.service.store import code_digest, namespace
 
 T = TypeVar("T")
 
@@ -81,11 +87,11 @@ def _ns():
 
 def golden_run(key: Hashable, runner: Callable[[], T]) -> T:
     """Return the cached value for ``key``, computing it on first use."""
-    return _ns().get_or_compute(key, runner)
+    return _ns().get_or_compute((key, code_digest("**/*.py")), runner)
 
 
 def cached_keys() -> list[Hashable]:
-    return _ns().keys()
+    return [key for key, _ in _ns().keys()]
 
 
 def set_cache_limit(limit: int) -> None:

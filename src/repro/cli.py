@@ -203,25 +203,24 @@ def cmd_analyze(args) -> int:
         return _cmd_analyze_coverage(args)
     if args.file is None:
         raise SystemExit("analyze needs a program file, --benchmark, or --all")
-    from repro.poly.dependences import compute_flow_dependences
-    from repro.poly.model import extract_model
-    from repro.poly.usecount import compute_live_in_counts, compute_use_counts
+    from repro.poly.analysis import program_analysis
+    from repro.poly.usecount import compute_live_in_counts
 
     program = _load(args.file)
-    model = extract_model(program)
+    analysis = program_analysis(program)
+    model = analysis.model
     print(f"program {program.name}: {len(model.statements)} analyzable "
           f"statement(s), {len(model.unanalyzable)} dynamic")
-    dependences = compute_flow_dependences(model)
     print("\nexact flow dependences:")
-    for dep in dependences:
+    for dep in analysis.dependences:
         print(f"  {dep.source.label} -> {dep.target.label} via {dep.read.ref}")
-    table = compute_use_counts(model, dependences)
     print("\nuse counts (Algorithm 1):")
-    for entry in table.entries():
+    for entry in analysis.use_counts.entries():
         status = "" if entry.exact else "  [fell back to dynamic]"
         print(f"  {entry.statement.label}: {entry.count}{status}")
     print("\nlive-in counts:")
-    for array, count in compute_live_in_counts(model, dependences).items():
+    live_in = compute_live_in_counts(model, analysis.dependences)
+    for array, count in live_in.items():
         print(f"  {array}: {count}")
     return 0
 

@@ -8,7 +8,8 @@ re-instrument identical inputs, so :func:`instrument_cached` memoizes
 ``instrument_program`` under a SHA-256 key of
 
     ``program_to_text(program)`` + the options field tuple
-    + the instrumenter's code digest.
+    + the code digest of the instrumenter and the layers it calls
+      (``instrument/``, ``poly/``, ``isl/``, ``ir/``).
 
 Nothing else goes in: instrumentation never reads which backend will
 run the result, so interpreter campaigns, compiled campaigns and the
@@ -58,6 +59,9 @@ _Entry = tuple[Program, InstrumentationReport]
 
 _DEFAULT_LIMIT = 128
 
+#: The sources an instrumented program is an output of.
+CODE_SOURCES = ("instrument/*.py", "poly/*.py", "isl/*.py", "ir/*.py")
+
 _CACHE_DIR: Path | None = None
 
 
@@ -87,15 +91,15 @@ def cache_key(
     program: Program, options: InstrumentationOptions | None = None
 ) -> str:
     """SHA-256 over the printed program, every options field and the
-    instrumenter's own code digest.
+    code digest of everything the output depends on.
 
     Adding a field to ``InstrumentationOptions`` automatically changes
     the key, so stale entries can never be served across an options
-    schema change; the code digest of ``repro/instrument/*.py``
+    schema change; :data:`CODE_SOURCES`'s digest
     (:func:`~repro.service.store.code_digest`) does the same for changes
-    to the instrumenter implementation itself (an on-disk cache
-    surviving a ``git pull`` would otherwise serve outputs of the old
-    code).
+    to the instrumenter or to the polyhedral, ISL and IR layers under
+    it (an on-disk cache surviving a ``git pull`` would otherwise serve
+    outputs of the old code).
     """
     options = options or InstrumentationOptions()
     option_items = tuple(
@@ -106,7 +110,7 @@ def cache_key(
         + "\n#options#"
         + repr(option_items)
         + "\n#code#"
-        + code_digest("instrument/*.py")
+        + code_digest(*CODE_SOURCES)
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

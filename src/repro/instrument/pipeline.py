@@ -3,8 +3,10 @@
 :func:`instrument_program` takes a mini-language program and returns an
 equivalent *resilient* program (Algorithm 3):
 
-1. extract the polyhedral model; compute exact flow dependences and
-   Algorithm 1 use counts for the affine fragment;
+1. read the program's shared polyhedral analysis
+   (:func:`repro.poly.analysis.program_analysis`: model, exact flow
+   dependences, Algorithm 1 use counts and live-in counts for the
+   affine fragment, computed once however many configs follow);
 2. classify every array/scalar into a protection plan
    (:mod:`repro.instrument.classify`);
 3. attach per-statement checksum instrumentation: use contributions for
@@ -71,12 +73,7 @@ from repro.ir.nodes import (
     UseContribution,
     WhileLoop,
 )
-from repro.poly.dependences import compute_flow_dependences
-from repro.poly.model import extract_model
-from repro.poly.usecount import (
-    compute_live_in_counts,
-    compute_use_counts,
-)
+from repro.poly.analysis import program_analysis
 
 
 @dataclass
@@ -121,7 +118,10 @@ def instrument_program(
 ) -> tuple[Program, InstrumentationReport]:
     """Instrument ``program``; returns (resilient program, report)."""
     options = options or InstrumentationOptions()
-    model = extract_model(program)
+    # The model, dependences and counts do not read the options: every
+    # config of one program shares a single analysis.
+    analysis = program_analysis(program)
+    model = analysis.model
     classification = classify_arrays(
         program, model, enable_iterative=options.enable_iterative
     )
@@ -129,8 +129,7 @@ def instrument_program(
     report = InstrumentationReport(plans=plans)
 
     # -- Affine analysis for the static fragment ------------------------
-    dependences = compute_flow_dependences(model)
-    use_counts = compute_use_counts(model, dependences)
+    use_counts = analysis.use_counts
     # Demote arrays whose statements' counting failed.
     for info in model.statements:
         if info.in_while:
@@ -158,9 +157,7 @@ def instrument_program(
         if plan.kind != PlanKind.STATIC:
             continue
         try:
-            counted = compute_live_in_counts(
-                model, dependences, arrays=[name]
-            )
+            counted = analysis.live_in(name)
         except CountingError as exc:
             plans[name] = ArrayPlan(
                 name, PlanKind.DYNAMIC, f"live-in counting failed: {exc}",
@@ -168,7 +165,8 @@ def instrument_program(
             )
             report.demotions.append(f"{name}: live-in counting failed")
             continue
-        live_in.update(counted)
+        if counted is not None:
+            live_in[name] = counted
 
     # -- Iterative analysis ----------------------------------------------
     iterative_infos: dict[str, IterativeArrayInfo] = {}

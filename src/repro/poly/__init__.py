@@ -12,11 +12,15 @@ Implements the compile-time machinery of the paper's Section 3:
 * :mod:`repro.poly.usecount` — Algorithm 1: per-definition symbolic use
   counts as piecewise polynomials, plus live-in counts for the
   prologue of Algorithm 3.
+* :mod:`repro.poly.analysis` — all of the above for one program,
+  computed once and shared by every consumer (the ``poly`` namespace
+  of the artifact store).
 """
 
 from repro.poly.model import PolyhedralModel, StatementInfo, extract_model
 from repro.poly.dependences import FlowDependence, compute_flow_dependences
 from repro.poly.usecount import UseCountTable, compute_use_counts
+from repro.poly.analysis import ProgramAnalysis, program_analysis
 
 __all__ = [
     "PolyhedralModel",
@@ -26,4 +30,6 @@ __all__ = [
     "compute_flow_dependences",
     "UseCountTable",
     "compute_use_counts",
+    "ProgramAnalysis",
+    "program_analysis",
 ]

@@ -151,14 +151,14 @@ def compute_live_in_counts(
     model: PolyhedralModel,
     dependences: list[FlowDependence],
     arrays: list[str] | None = None,
-    include_while_statements: bool = False,
 ) -> dict[str, PiecewisePolynomial]:
     """Reads-of-initial-value counts per array cell.
 
     For each array, returns a piecewise polynomial over parameters
     ``__c0, __c1, ...`` (the cell coordinates): the number of reads of
-    that cell that happen before any write to it.  Arrays that are
-    never read live-in map to a zero polynomial.
+    that cell that happen before any write to it.  Arrays never read
+    live-in are absent.  Reads in statements inside while loops are
+    not counted.
 
     Raises :class:`CountingError` when a count cannot be obtained
     symbolically; callers fall back to dynamic (inspector) counting.
@@ -170,11 +170,10 @@ def compute_live_in_counts(
     else:
         name_set = {d.name for d in program.arrays}
         name_set |= {d.name for d in program.scalars}
-    statements = [
-        s for s in model.statements if include_while_statements or not s.in_while
-    ]
     results: dict[str, PiecewisePolynomial] = {}
-    for info in statements:
+    for info in model.statements:
+        if info.in_while:
+            continue
         for position, read in enumerate(info.reads):
             if not read.is_affine or read.target not in name_set:
                 continue

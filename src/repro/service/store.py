@@ -2,10 +2,12 @@
 
 Every expensive artifact the toolchain computes is a pure function of
 content we already digest: golden runs key on the campaign spec's
-golden digest, compiled kernels on the IR digest and the emitter's
-:func:`code_digest`, instrumented programs on the printed-IR SHA-256
-and the instrumenter's :func:`code_digest`, the ISL memos on canonical
-constraint-system hashes.  Before this module each owner
+golden digest and the whole package's :func:`code_digest`, compiled
+kernels on the IR digest and the emitter's :func:`code_digest`,
+instrumented programs on the printed-IR SHA-256 and the
+:func:`code_digest` of the instrumenter and the layers under it, the
+shared polyhedral analyses on the printed-IR SHA-256, the ISL memos on
+canonical constraint-system hashes.  Before this module each owner
 kept a private ``OrderedDict`` with its own counters, its own eviction
 loop, and (for the instrumentation cache) its own disk layer — and N
 campaign worker processes each re-warmed all four.
@@ -13,8 +15,9 @@ campaign worker processes each re-warmed all four.
 The store is one get-or-compute layer shared by all of them:
 
 * a :class:`Namespace` per artifact kind (``golden``, ``kernel``,
-  ``instrument``, ``isl_empty``, ``isl_fm``, ``isl_count``), each an
-  LRU-bounded in-memory map with hit/miss/eviction/disk-hit counters;
+  ``instrument``, ``poly``, ``isl_empty``, ``isl_fm``, ``isl_count``),
+  each an LRU-bounded in-memory map with hit/miss/eviction/disk-hit
+  counters;
 * an **opt-in shared disk directory** (:func:`set_store_dir` or the
   ``REPRO_ARTIFACT_STORE`` environment variable — the env var so
   campaign worker processes inherit it) holding one pickle per key
@@ -22,7 +25,8 @@ The store is one get-or-compute layer shared by all of them:
   rename); reads are tolerant — a corrupted, truncated or unreadable
   entry is a miss, never an error.  Namespaces opt in per kind:
   artifacts that cannot round-trip a process boundary (the ISL memos
-  key on interned objects) stay memory-only, and namespaces with
+  key on interned objects, and the polyhedral analyses hold ISL sets)
+  stay memory-only, and namespaces with
   non-picklable values (compiled kernels) provide ``encode``/``decode``
   hooks that persist a rebuildable form (the generated sources) instead;
 * **aggregatable counters**: :func:`counters_snapshot` /

@@ -115,6 +115,25 @@ class TestDiskLayer:
         assert program_to_text(second[0]) == program_to_text(first[0])
         assert set(second[1].plans) == set(first[1].plans)
 
+    def test_code_edit_changes_the_key(self, program, tmp_path, monkeypatch):
+        """A disk directory that survives an edit to the instrumenter,
+        or to the polyhedral, ISL or IR code under it, must not serve
+        the old build."""
+        assert {"poly/*.py", "isl/*.py", "ir/*.py"} <= set(icache.CODE_SOURCES)
+        icache.set_cache_dir(tmp_path)
+        instrument_cached(program, OPT)
+        icache.clear_cache()
+        instrument_cached(program, OPT)
+        assert store_stats()["instrument"]["disk_hits"] == 1
+        current = icache.code_digest(*icache.CODE_SOURCES)
+        monkeypatch.setattr(
+            icache, "code_digest", lambda *patterns: current + "-x"
+        )
+        icache.clear_cache()
+        instrument_cached(program, OPT)
+        stats = store_stats()["instrument"]
+        assert stats["misses"] == 1 and stats["disk_hits"] == 0
+
     def test_corrupted_entry_recomputed(self, program, tmp_path):
         icache.set_cache_dir(tmp_path)
         first = instrument_cached(program, OPT)

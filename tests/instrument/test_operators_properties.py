@@ -6,6 +6,9 @@ associative (contributions may interleave in any order), the rotation
 hardening is a bijection per word (it cannot *create* collisions), and
 on a fault-free run the def and use checksums of any affine program
 balance.  These are exactly the properties hypothesis can attack.
+The same fuzzed programs also check that instrumenting one program
+under several configs off its shared polyhedral analysis builds what a
+cold analysis builds.
 """
 
 import numpy as np
@@ -154,3 +157,27 @@ class TestFaultFreeBalance:
                 channels=2,
             )
             assert not result.mismatches
+
+
+class TestSharedAnalysis:
+    """Back-to-back configs of one generated program read a single
+    polyhedral analysis; each must build what it builds from a cleared
+    store (the benchmark version is tests/poly/test_analysis.py)."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_back_to_back_configs_match_cold_builds(self, seed):
+        from repro.ir.generate import random_affine_program
+        from repro.service.store import clear_store, store_stats
+
+        from tests.poly.test_analysis import CONFIGS, instrumented_fingerprint
+
+        program = random_affine_program(seed)
+        clear_store()
+        shared = [
+            instrumented_fingerprint(program, options) for options in CONFIGS
+        ]
+        assert store_stats()["poly"]["misses"] == 1
+        for options, expected in zip(CONFIGS, shared):
+            clear_store()
+            assert instrumented_fingerprint(program, options) == expected

@@ -244,6 +244,33 @@ class TestCounterAggregation:
         assert namespace_hit_rate({}) == 0.0
 
 
+class TestGoldenKeys:
+    def test_source_edit_changes_the_key(self, tmp_path, monkeypatch):
+        """A store directory that survives an edit anywhere in the
+        package must not serve golden values the old code made."""
+        from repro.campaign import golden
+
+        key = ("t-golden", 1)
+        set_store_dir(tmp_path)
+        golden.clear_cache()
+        try:
+            golden.golden_run(key, lambda: 41)
+            golden.clear_cache()
+            assert golden.golden_run(key, lambda: 42) == 41
+            assert golden.cached_keys() == [key]
+            assert store_mod.store_stats()["golden"]["disk_hits"] == 1
+            current = golden.code_digest("**/*.py")
+            monkeypatch.setattr(
+                golden, "code_digest", lambda *patterns: current + "-x"
+            )
+            golden.clear_cache()
+            assert golden.golden_run(key, lambda: 42) == 42
+            stats = store_mod.store_stats()["golden"]
+            assert stats["misses"] == 1 and stats["disk_hits"] == 0
+        finally:
+            golden.clear_cache()
+
+
 class TestCodeDigest:
     """The one hasher behind code-versioned keys (kernels, instrument)."""
 
