@@ -25,9 +25,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.campaign import ProgramCampaignSpec, run_campaign  # noqa: E402
-from repro.campaign.golden import clear_cache as clear_golden  # noqa: E402
-from repro.instrument.cache import clear_cache as clear_instrument  # noqa: E402
-from repro.runtime.compile import clear_kernel_cache  # noqa: E402
 from repro.service import set_store_dir  # noqa: E402
 from repro.service.store import clear_store, namespace_hit_rate  # noqa: E402
 
@@ -38,13 +35,9 @@ def _canonical(result) -> list[dict]:
 
 def _drop_local_caches() -> None:
     """Forget every in-process artifact so the next run starts cold
-    (forked workers inherit the driver's memory caches otherwise): the
-    golden, kernel and instrument caches and the memory-only
-    namespaces (``poly`` analyses, ISL memos).  The disk store is
-    untouched."""
-    clear_golden()
-    clear_kernel_cache()
-    clear_instrument()
+    (forked workers inherit the driver's memory caches otherwise):
+    every store namespace, golden, kernel and instrument included.
+    The disk store is untouched."""
     clear_store()
 
 

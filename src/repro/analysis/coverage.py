@@ -336,7 +336,6 @@ def _poly_section(program, params: dict[str, int]) -> dict:
     """Symbolic cardinalities: statement domains + live-in read counts."""
     from repro.isl.counting import CountingError, count_points
     from repro.poly.analysis import program_analysis
-    from repro.poly.model import ModelError
     from repro.poly.usecount import compute_live_in_counts
 
     analysis = program_analysis(program)
@@ -357,7 +356,7 @@ def _poly_section(program, params: dict[str, int]) -> dict:
                 analysis.model, analysis.dependences
             ).items()
         }
-    except (CountingError, ModelError) as exc:
+    except CountingError as exc:
         return {"available": False, "reason": str(exc)}
     return {
         "available": True,

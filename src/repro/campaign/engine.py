@@ -130,6 +130,8 @@ def run_campaign(
     """
     if spec.trials < 0:
         raise ValueError("trials must be >= 0")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
     base = counters_snapshot()
     done = _load_done(spec, log_path, resume)
@@ -317,10 +319,3 @@ def replay_trial(
     if prepared is None:
         prepared = spec.prepare()
     return spec.run_trial(index, prepared)
-
-
-def sort_records(log_or_records) -> list[TrialRecord]:
-    """Records sorted by index, from a log path or a record iterable."""
-    if isinstance(log_or_records, str):
-        return read_log(log_or_records).records
-    return sorted(log_or_records, key=lambda record: record.index)

@@ -324,6 +324,10 @@ class ProgramCampaignSpec:
                 f"unknown fault model {self.fault_model!r}; expected one "
                 f"of {', '.join(FAULT_MODELS)}"
             )
+        if self.recover_retries < 0:
+            raise ValueError(
+                f"recover_retries must be >= 0, got {self.recover_retries}"
+            )
         if self.stuck_window < 0:
             raise ValueError(
                 f"stuck_window must be >= 0, got {self.stuck_window}"
@@ -465,8 +469,7 @@ class ProgramCampaignSpec:
         if self.instrument:
             # Content-addressed: repeat sweeps over the same program and
             # options skip the instrumenter entirely (and across
-            # processes too when REPRO_INSTRUMENT_CACHE names a
-            # directory — worker processes inherit the env var).
+            # processes too when the artifact store has a directory).
             program, _ = instrument_cached(
                 program,
                 InstrumentationOptions(

@@ -25,8 +25,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from repro.instrument.pipeline import InstrumentationOptions
 from repro.ir.analysis import validate_program
 from repro.ir.parser import parse_program
@@ -89,10 +87,8 @@ def cmd_instrument(args) -> int:
         hoist_inspectors=not args.no_hoist,
         localize=args.localize,
     )
-    from repro.instrument.cache import instrument_cached, set_cache_dir
+    from repro.instrument.cache import instrument_cached
 
-    if args.instrument_cache:
-        set_cache_dir(args.instrument_cache)
     instrumented, report = instrument_cached(program, options)
     if args.lint:
         from repro.analysis.lint import has_errors, lint_program
@@ -120,17 +116,16 @@ def cmd_instrument(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.runtime.compile import execute_program
+    from repro.runtime.compile import run_compiled
 
     program = _load(args.file)
     params = _parse_params(args.param)
     values = _initial_values(program, params, args.init, args.seed)
     if args.recover:
         return _run_with_recovery(args, program, params, values)
-    result = execute_program(
+    result = run_compiled(
         program,
         params,
-        backend=args.backend,
         initial_values=values,
         channels=args.channels,
         register_budget=args.register_budget,
@@ -162,13 +157,16 @@ def _run_with_recovery(args, program, params, values) -> int:
 
     if args.register_budget is not None:
         raise SystemExit("--recover does not model register budgets")
+    if args.recover_retries < 0:
+        raise SystemExit(
+            f"--recover-retries must be >= 0, got {args.recover_retries}"
+        )
     try:
         outcome = run_with_recovery(
             program,
             params,
             initial_values=values,
             channels=args.channels,
-            backend=args.backend,
             policy=RecoveryPolicy(max_retries=args.recover_retries),
         )
     except RecoveryPlanError as error:
@@ -324,7 +322,6 @@ def _campaign_spec_from_args(args):
         split=not args.no_split,
         hoist=not args.no_hoist,
         channels=args.channels,
-        backend=args.backend,
         recover=args.recover,
         recover_retries=args.recover_retries,
         fault_model=args.fault_model,
@@ -456,18 +453,9 @@ def _format_store_stats(store: dict) -> str | None:
     return f"artifact store: {parts} hit_rate={100 * rate:.1f}%"
 
 
-def _campaign_env_from_args(args) -> None:
-    import os
-
-    if args.instrument_cache:
-        # Via the environment so multiprocessing workers inherit it.
-        os.environ["REPRO_INSTRUMENT_CACHE"] = args.instrument_cache
-    if getattr(args, "store", None):
-        # Shared artifact-store directory, likewise worker-inherited.
-        os.environ["REPRO_ARTIFACT_STORE"] = args.store
-
-
 def _progress_printer():
+    """Live shard progress on stderr (stdout and the log are unchanged)."""
+
     def show(progress) -> None:
         low, high = progress.detection_interval
         report = progress.last_report
@@ -480,10 +468,11 @@ def _progress_printer():
         if progress.reissued:
             tail += f" | {progress.reissued} reissued"
         print(
-            f"[serve] {progress.done_trials}/{progress.total_trials} trials "
-            f"({progress.completed_shards}/{progress.total_shards} shards, "
-            f"{progress.trials_per_sec:.1f}/s, detection CI "
+            f"[progress] {progress.done_trials}/{progress.total_trials} "
+            f"trials ({progress.completed_shards}/{progress.total_shards} "
+            f"shards, {progress.trials_per_sec:.1f}/s, detection CI "
             f"[{100 * low:.1f}%, {100 * high:.1f}%])" + tail,
+            file=sys.stderr,
             flush=True,
         )
 
@@ -491,17 +480,23 @@ def _progress_printer():
 
 
 def cmd_campaign_run(args) -> int:
+    import os
+
     from repro.campaign import run_campaign
 
-    _campaign_env_from_args(args)
+    if args.store:
+        # Via the environment so the forked workers inherit it.
+        os.environ["REPRO_ARTIFACT_STORE"] = args.store
     spec = _campaign_spec_from_args(args)
+    # Sharded runs on a terminal show their progress as it comes in.
+    live = args.workers > 1 and sys.stderr.isatty()
     try:
         result = run_campaign(
             spec,
             workers=args.workers,
             log_path=args.log,
             resume=args.resume,
-            progress=_progress_printer() if args.serve else None,
+            progress=_progress_printer() if live else None,
         )
     except (ValueError, RuntimeError) as error:
         raise SystemExit(str(error)) from None
@@ -588,9 +583,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=None,
                         help="emit a baseline transform instead of the "
                         "def/use checksum scheme")
-    p_inst.add_argument("--instrument-cache", default=None, metavar="DIR",
-                        help="on-disk instrumentation cache directory "
-                        "(content-addressed; see docs/COMPILE_PERF.md)")
     p_inst.add_argument("--lint", action="store_true",
                         help="lint the instrumented output "
                         "(issues to stderr; exit 1 on errors)")
@@ -606,11 +598,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="checksum channels (2 = rotated second checksum)")
     p_run.add_argument("--register-budget", type=int, default=None,
                        help="per-bundle register file size (enables the "
-                       "Section 5 spill modeling; forces the interpreter)")
-    p_run.add_argument("--backend", choices=("interp", "compiled"),
-                       default="compiled",
-                       help="execution backend (compiled falls back to the "
-                       "interpreter on unsupported constructs)")
+                       "Section 5 spill modeling; runs the interpreter)")
     p_run.add_argument("--dump", action="append", default=None,
                        metavar="ARRAY", help="print an array after the run")
     p_run.add_argument("--recover", action="store_true",
@@ -667,82 +655,66 @@ def main(argv: list[str] | None = None) -> int:
     )
     camp_sub = p_camp.add_subparsers(dest="campaign_command", required=True)
 
-    def _add_campaign_run_args(p_crun):
-        p_crun.add_argument("file", nargs="?", default=None,
-                            help="mini-language program (or use --benchmark)")
-        p_crun.add_argument("--benchmark", default=None,
-                            help="a Table 2 benchmark name instead of a file")
-        p_crun.add_argument("--scale", choices=("small", "default"),
-                            default="small")
-        p_crun.add_argument("--param", action="append", default=[],
-                            metavar="n=16")
-        p_crun.add_argument("--init", action="append", default=[],
-                            metavar="A=randspd")
-        p_crun.add_argument("--trials", type=int, default=100)
-        p_crun.add_argument("--bits", type=int, default=2)
-        from repro.runtime.faults import FAULT_MODELS
-
-        p_crun.add_argument("--fault-model", choices=FAULT_MODELS,
-                            default="random_cell",
-                            help="what each trial injects: value flips "
-                            "(random_cell), address-generation faults "
-                            "(addrgen_load/addrgen_store), an intermittent "
-                            "stuck bit (stuck_bit), or a multi-cell burst "
-                            "(burst); see docs/FAULT_MODELS.md")
-        p_crun.add_argument("--stuck-window", type=int, default=0,
-                            help="stuck_bit: load events the defect stays "
-                            "active (0 = max(16, total_loads // 16))")
-        p_crun.add_argument("--burst-cells", type=int, default=4,
-                            help="burst: consecutive cells struck")
-        p_crun.add_argument("--seed", type=int, default=0)
-        p_crun.add_argument("--workers", type=int, default=1,
-                            help="worker processes the trials are sharded "
-                            "over (verdicts are identical for any worker "
-                            "count)")
-        p_crun.add_argument("--log", default=None,
-                            help="JSONL trial log (enables resume)")
-        p_crun.add_argument("--resume", action="store_true",
-                            help="recover finished trials from --log first")
-        p_crun.add_argument("--no-split", action="store_true")
-        p_crun.add_argument("--no-hoist", action="store_true")
-        p_crun.add_argument("--channels", type=int, default=1)
-        p_crun.add_argument("--backend", choices=("interp", "compiled"),
-                            default="compiled",
-                            help="per-trial execution backend (bit-identical "
-                            "results; compiled is faster)")
-        p_crun.add_argument("--instrument-cache", default=None, metavar="DIR",
-                            help="on-disk instrumentation cache shared by all "
-                            "workers (sets REPRO_INSTRUMENT_CACHE)")
-        p_crun.add_argument("--recover", action="store_true",
-                            help="run every trial under the recovery "
-                            "controller; verdicts become recovered / "
-                            "recovery_failed / sdc_after_recovery")
-        p_crun.add_argument("--recover-retries", type=int, default=3,
-                            help="replay budget per detection episode")
-        p_crun.add_argument("--prune", choices=("none", "static"),
-                            default="none",
-                            help="static: skip trials the static analysis "
-                            "proves detected/masked, recording predicted "
-                            "verdicts (docs/STATIC_ANALYSIS.md)")
-        p_crun.add_argument("--store", default=None, metavar="DIR",
-                            help="shared artifact-store directory for "
-                            "golden runs / kernels / instrumented programs "
-                            "(sets REPRO_ARTIFACT_STORE; see "
-                            "docs/SERVICE.md)")
-
     p_crun = camp_sub.add_parser(
-        "run", help="run a campaign (parallel, optionally logged)"
+        "run",
+        help="run a campaign (sharded over --workers, optionally logged; "
+        "live progress on a terminal)",
     )
-    _add_campaign_run_args(p_crun)
-    p_crun.set_defaults(func=cmd_campaign_run, serve=False)
+    p_crun.add_argument("file", nargs="?", default=None,
+                        help="mini-language program (or use --benchmark)")
+    p_crun.add_argument("--benchmark", default=None,
+                        help="a Table 2 benchmark name instead of a file")
+    p_crun.add_argument("--scale", choices=("small", "default"),
+                        default="small")
+    p_crun.add_argument("--param", action="append", default=[],
+                        metavar="n=16")
+    p_crun.add_argument("--init", action="append", default=[],
+                        metavar="A=randspd")
+    p_crun.add_argument("--trials", type=int, default=100)
+    p_crun.add_argument("--bits", type=int, default=2)
+    from repro.runtime.faults import FAULT_MODELS
 
-    p_cserve = camp_sub.add_parser(
-        "serve",
-        help="campaign run plus live progress streamed from the worker "
-        "shards (needs --workers > 1; see docs/SERVICE.md)",
-    )
-    _add_campaign_run_args(p_cserve)
-    p_cserve.set_defaults(func=cmd_campaign_run, serve=True)
+    p_crun.add_argument("--fault-model", choices=FAULT_MODELS,
+                        default="random_cell",
+                        help="what each trial injects: value flips "
+                        "(random_cell), address-generation faults "
+                        "(addrgen_load/addrgen_store), an intermittent "
+                        "stuck bit (stuck_bit), or a multi-cell burst "
+                        "(burst); see docs/FAULT_MODELS.md")
+    p_crun.add_argument("--stuck-window", type=int, default=0,
+                        help="stuck_bit: load events the defect stays "
+                        "active (0 = max(16, total_loads // 16))")
+    p_crun.add_argument("--burst-cells", type=int, default=4,
+                        help="burst: consecutive cells struck")
+    p_crun.add_argument("--seed", type=int, default=0)
+    p_crun.add_argument("--workers", type=int, default=1,
+                        help="worker processes the trials are sharded "
+                        "over (verdicts are identical for any worker "
+                        "count)")
+    p_crun.add_argument("--log", default=None,
+                        help="JSONL trial log (enables resume)")
+    p_crun.add_argument("--resume", action="store_true",
+                        help="recover finished trials from --log first")
+    p_crun.add_argument("--no-split", action="store_true")
+    p_crun.add_argument("--no-hoist", action="store_true")
+    p_crun.add_argument("--channels", type=int, default=1)
+    p_crun.add_argument("--recover", action="store_true",
+                        help="run every trial under the recovery "
+                        "controller; verdicts become recovered / "
+                        "recovery_failed / sdc_after_recovery")
+    p_crun.add_argument("--recover-retries", type=int, default=3,
+                        help="replay budget per detection episode")
+    p_crun.add_argument("--prune", choices=("none", "static"),
+                        default="none",
+                        help="static: skip trials the static analysis "
+                        "proves detected/masked, recording predicted "
+                        "verdicts (docs/STATIC_ANALYSIS.md)")
+    p_crun.add_argument("--store", default=None, metavar="DIR",
+                        help="shared artifact-store directory for "
+                        "golden runs / kernels / instrumented programs "
+                        "(sets REPRO_ARTIFACT_STORE; see "
+                        "docs/SERVICE.md)")
+    p_crun.set_defaults(func=cmd_campaign_run)
 
     p_cres = camp_sub.add_parser(
         "resume", help="finish a killed campaign from its JSONL log"

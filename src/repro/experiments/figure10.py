@@ -209,11 +209,10 @@ def overhead_row(
     scale: str = "default",
     wall: bool = False,
     cost_model: CostModel | None = None,
-    backend: str = "compiled",
 ) -> OverheadRow:
     cost_model = cost_model or CostModel()
     builds = build_benchmark(name, scale)
-    counts = measure_counts(builds, backend=backend)
+    counts = measure_counts(builds)
     resilient = cost_model.overhead(counts["original"], counts["resilient"])
     optimized = cost_model.overhead(counts["original"], counts["optimized"])
     row = OverheadRow(
@@ -233,12 +232,9 @@ def run_figure10(
     benchmarks: list[str] | None = None,
     scale: str = "default",
     wall: bool = False,
-    backend: str = "compiled",
 ) -> list[OverheadRow]:
     names = benchmarks or list(ALL_BENCHMARKS)
-    return [
-        overhead_row(name, scale, wall, backend=backend) for name in names
-    ]
+    return [overhead_row(name, scale, wall) for name in names]
 
 
 def detection_coverage(
@@ -248,7 +244,6 @@ def detection_coverage(
     workers: int = 1,
     scale: str = "small",
     bits: int = 2,
-    backend: str = "compiled",
     recover: bool = False,
 ) -> list[dict]:
     """Detection coverage of the resilient builds under random faults.
@@ -272,7 +267,6 @@ def detection_coverage(
             benchmark=name,
             scale=scale,
             bits=bits,
-            backend=backend,
             recover=recover,
         )
         summary = run_campaign(spec, workers=workers).summary()
@@ -302,7 +296,6 @@ def fault_model_coverage(
     workers: int = 1,
     scale: str = "small",
     bits: int = 2,
-    backend: str = "compiled",
 ) -> list[dict]:
     """Checksum vs. replay-baseline coverage per fault model.
 
@@ -330,7 +323,6 @@ def fault_model_coverage(
                 benchmark=name,
                 scale=scale,
                 bits=bits,
-                backend=backend,
                 fault_model=model,
             )
             result = run_campaign(spec, workers=workers)
@@ -626,24 +618,9 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument(
-        "--backend",
-        choices=("interp", "compiled"),
-        default="compiled",
-        help="execution backend (bit-identical counts; compiled is faster)",
-    )
-    parser.add_argument(
-        "--instrument-cache",
-        default=None,
-        metavar="DIR",
-        help="on-disk instrumentation cache directory (content-"
-        "addressed; repeat harness runs skip the instrumenter)",
-    )
     args = parser.parse_args(argv)
-    if args.instrument_cache:
-        from repro.instrument.cache import set_cache_dir
-
-        set_cache_dir(args.instrument_cache)
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.list:
         print(format_table2())
         return
@@ -655,7 +632,6 @@ def main(argv: list[str] | None = None) -> None:
             seed=args.seed,
             workers=args.workers,
             scale=args.scale,
-            backend=args.backend,
         )
         print(format_fault_models(rows))
         static = None
@@ -699,16 +675,13 @@ def main(argv: list[str] | None = None) -> None:
             seed=args.seed,
             workers=args.workers,
             scale=args.scale,
-            backend=args.backend,
             recover=args.recover,
         )
         print(format_detection(rows, recover=args.recover))
         return
     if args.recover:
         parser.error("--recover needs --detect")
-    rows = run_figure10(
-        args.benchmarks, args.scale, args.wall, backend=args.backend
-    )
+    rows = run_figure10(args.benchmarks, args.scale, args.wall)
     print(
         format_overheads(
             rows,

@@ -267,22 +267,9 @@ def main(argv: list[str] | None = None) -> None:
         help="worker processes per cell (same-seed runs are "
         "bit-identical for any worker count)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("interp", "compiled"),
-        default="compiled",
-        help="accepted for harness uniformity; Table 1 cells are "
-        "incremental checksum updates and never execute a program, "
-        "so the flag has no effect here",
-    )
-    parser.add_argument(
-        "--instrument-cache",
-        default=None,
-        metavar="DIR",
-        help="accepted for harness uniformity; Table 1 never "
-        "instruments a program, so the flag has no effect here",
-    )
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
     config = Table1Config(
         sizes=tuple(args.sizes),
         bit_counts=tuple(args.bits),

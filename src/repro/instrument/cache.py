@@ -17,19 +17,12 @@ Figure 10 builds share one entry.
 
 Storage is the ``instrument`` namespace of
 :mod:`repro.service.store`: an in-memory LRU with hit/miss/eviction
-counters, plus an on-disk layer holding one pickle per key.  The disk
-directory resolves in order:
-
-* ``set_cache_dir`` / the ``REPRO_INSTRUMENT_CACHE`` environment
-  variable (the historical opt-in; entries live directly in that
-  directory as ``<key>.pkl``), else
-* the unified artifact store's shared directory
-  (``REPRO_ARTIFACT_STORE`` / ``set_store_dir``), under its
-  ``instrument/`` subdirectory.
-
-Either way the store's disk semantics apply: writes are atomic (temp
-file + rename) and reads tolerant — a corrupted, truncated or
-unreadable entry is treated as a miss and recomputed, never an error.
+counters, plus, when the artifact store has a shared directory
+(``--store``, ``REPRO_ARTIFACT_STORE`` or ``set_store_dir``), one
+pickle per key under its ``instrument/`` subdirectory.  The store's
+disk semantics apply: writes are atomic (temp file + rename) and reads
+tolerant — a corrupted, truncated or unreadable entry is treated as a
+miss and recomputed, never an error.
 
 ``Program`` is a frozen dataclass, so sharing the cached instance is
 safe; treat the cached :class:`InstrumentationReport` as read-only.
@@ -40,9 +33,7 @@ the key — that is the content-addressing contract.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import fields
-from pathlib import Path
 
 from repro.instrument.pipeline import (
     InstrumentationOptions,
@@ -53,16 +44,12 @@ from repro.ir.nodes import Program
 from repro.ir.printer import program_to_text
 from repro.service.store import code_digest, namespace
 
-ENV_CACHE_DIR = "REPRO_INSTRUMENT_CACHE"
-
 _Entry = tuple[Program, InstrumentationReport]
 
 _DEFAULT_LIMIT = 128
 
 #: The sources an instrumented program is an output of.
 CODE_SOURCES = ("instrument/*.py", "poly/*.py", "isl/*.py", "ir/*.py")
-
-_CACHE_DIR: Path | None = None
 
 
 def _validate(payload):
@@ -79,11 +66,7 @@ def _validate(payload):
 
 def _ns():
     return namespace(
-        "instrument",
-        limit=_DEFAULT_LIMIT,
-        disk=True,
-        decode=_validate,
-        dir_resolver=_legacy_dir,
+        "instrument", limit=_DEFAULT_LIMIT, disk=True, decode=_validate
     )
 
 
@@ -123,31 +106,6 @@ def instrument_cached(
     return _ns().get_or_compute(
         key, lambda: instrument_program(program, options)
     )
-
-
-# ----------------------------------------------------------------------
-# On-disk layer (opt-in)
-# ----------------------------------------------------------------------
-def _legacy_dir() -> Path | None:
-    """The instrument-specific directory, if configured.  Returning
-    ``None`` lets the namespace fall back to the unified store dir."""
-    if _CACHE_DIR is not None:
-        return _CACHE_DIR
-    env = os.environ.get(ENV_CACHE_DIR)
-    return Path(env) if env else None
-
-
-def cache_dir() -> Path | None:
-    """The active on-disk directory, if any (explicit beats env var,
-    which beats the shared artifact-store directory)."""
-    return _ns().directory()
-
-
-def set_cache_dir(path: str | os.PathLike | None) -> None:
-    """Enable (or with ``None`` disable) the instrument-specific disk
-    directory.  The shared store directory, when set, still applies."""
-    global _CACHE_DIR
-    _CACHE_DIR = Path(path) if path is not None else None
 
 
 # ----------------------------------------------------------------------

@@ -78,9 +78,6 @@ class ClassificationResult:
     def kind(self, name: str) -> PlanKind:
         return self.plans[name].kind
 
-    def names_of_kind(self, kind: PlanKind) -> list[str]:
-        return [p.name for p in self.plans.values() if p.kind == kind]
-
 
 def _find_single_while(program: Program) -> tuple[WhileLoop | None, bool]:
     """The program's single top-level while loop, if that shape holds.

@@ -56,10 +56,6 @@ from repro.ir.nodes import (
 MAX_SPLITS = 200
 
 
-class SplitLimitExceeded(RuntimeError):
-    """Safety valve against pathological splitting cascades."""
-
-
 def split_index_sets(program: Program, max_splits: int = MAX_SPLITS) -> Program:
     """Split loops until no resolvable ``Select`` condition remains."""
     body = list(program.body)

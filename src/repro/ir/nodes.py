@@ -368,17 +368,6 @@ class Program:
     def with_body(self, body: tuple[Stmt, ...]) -> "Program":
         return replace(self, body=body)
 
-    def with_declarations(
-        self,
-        arrays: tuple[ArrayDecl, ...] | None = None,
-        scalars: tuple[ScalarDecl, ...] | None = None,
-    ) -> "Program":
-        return replace(
-            self,
-            arrays=self.arrays if arrays is None else arrays,
-            scalars=self.scalars if scalars is None else scalars,
-        )
-
 
 # ----------------------------------------------------------------------
 # Tree walking helpers
@@ -418,19 +407,6 @@ def walk_expressions(expr: Expr) -> Iterator[Expr]:
             yield from walk_expressions(index)
 
 
-def expression_reads(expr: Expr) -> list[ArrayRef | VarRef]:
-    """All loads (array refs and scalar reads) in an expression.
-
-    Index expressions of array references are included *after* the
-    reference itself (their loads also go through memory).
-    """
-    reads: list[ArrayRef | VarRef] = []
-    for node in walk_expressions(expr):
-        if isinstance(node, (ArrayRef, VarRef)):
-            reads.append(node)
-    return reads
-
-
 def statement_labels(body: tuple[Stmt, ...]) -> list[str]:
     """Labels of all labelled assignments, in textual order."""
     labels: list[str] = []
@@ -438,10 +414,3 @@ def statement_labels(body: tuple[Stmt, ...]) -> list[str]:
         if isinstance(stmt, Assign) and stmt.label:
             labels.append(stmt.label)
     return labels
-
-
-def find_statement(body: tuple[Stmt, ...], label: str) -> Assign:
-    for stmt in walk_statements(body):
-        if isinstance(stmt, Assign) and stmt.label == label:
-            return stmt
-    raise KeyError(f"no statement labelled {label!r}")

@@ -145,9 +145,6 @@ class ScheduleTable:
         """Schedule of the assignment at an AST path (labels optional)."""
         return self._by_path[path]
 
-    def has_path(self, path: tuple[int, ...]) -> bool:
-        return path in self._by_path
-
     def labels(self) -> list[str]:
         return list(self._schedules)
 

@@ -445,16 +445,6 @@ class BasicSet:
             return point
         return None
 
-    def is_bounded_given(self, params: Mapping[str, int]) -> bool:
-        """Whether enumeration terminates (bounded in every dim)."""
-        from repro.isl.enumerate_points import dim_bound_tables
-
-        try:
-            dim_bound_tables(self, check_bounded=True)
-        except ValueError:
-            return False
-        return True
-
     # ------------------------------------------------------------------
     # Simplification
     # ------------------------------------------------------------------

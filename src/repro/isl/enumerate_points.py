@@ -161,23 +161,3 @@ def enumerate_points(
 def count_points_concrete(obj, params: Mapping[str, int] | None = None) -> int:
     """Number of integer points (brute force)."""
     return len(enumerate_points(obj, params))
-
-
-def universe_box(
-    bset: BasicSet, params: Mapping[str, int]
-) -> list[tuple[int, int]] | None:
-    """A bounding box per dimension, or None if unbounded."""
-    try:
-        tables = dim_bound_tables(bset, check_bounded=True)
-    except ValueError:
-        return None
-    box: list[tuple[int, int]] = []
-    assignment = dict(params)
-    for table in tables:
-        lo, hi = integer_interval(table.lowers, table.uppers, assignment)
-        if lo is None or hi is None:
-            return None
-        box.append((lo, hi))
-        # Boxes are only advisory; fix nothing and keep scanning level 0
-        # bounds — callers use iterate_points for exact scans.
-    return box

@@ -79,9 +79,6 @@ class PiecewisePolynomial:
         """Union of the piece domains (where the value may be non-zero)."""
         return Set(self._space, [d for d, _ in self._pieces])
 
-    def is_single_piece(self) -> bool:
-        return len(self._pieces) <= 1
-
     def polynomials(self) -> list[Polynomial]:
         return [p for _, p in self._pieces]
 

@@ -24,7 +24,6 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.isl.basic_set import BasicSet
 from repro.isl.constraints import Constraint
-from repro.isl.linear import LinExpr
 from repro.isl.set_ops import Set
 from repro.isl.space import Space
 
@@ -58,10 +57,6 @@ class BasicMap:
         for text in texts:
             constraints.extend(parse_constraints(text))
         return BasicMap(space, constraints)
-
-    @staticmethod
-    def from_wrapped(space: Space, bset: BasicSet) -> "BasicMap":
-        return BasicMap(space, bset.constraints)
 
     @staticmethod
     def universe(space: Space) -> "BasicMap":
@@ -108,10 +103,6 @@ class BasicMap:
 
     def intersect_domain(self, dom: BasicSet) -> "BasicMap":
         aligned = _align_constraints(dom, self._space.in_dims)
-        return BasicMap(self._space, self._bset.constraints + tuple(aligned))
-
-    def intersect_range(self, rng: BasicSet) -> "BasicMap":
-        aligned = _align_constraints(rng, self._space.out_dims)
         return BasicMap(self._space, self._bset.constraints + tuple(aligned))
 
     def apply(self, source: Set | BasicSet) -> Set:
@@ -209,10 +200,6 @@ class BasicMap:
             self._space.rename_dims(mapping),
             [c.rename(mapping) for c in self._bset.constraints],
         )
-
-    def fix_input(self, name: str, value: int) -> "BasicMap":
-        eq = Constraint.eq(LinExpr.var(name) - value)
-        return self.add_constraints([eq])
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -102,9 +102,6 @@ class Set:
         ]
         return Set(self._space, pieces)
 
-    def intersect_basic(self, bset: BasicSet) -> "Set":
-        return Set(self._space, [a.intersect(bset) for a in self._pieces])
-
     def subtract(self, other: "Set") -> "Set":
         self._check_space(other)
         current: list[BasicSet] = list(self._pieces)

@@ -156,24 +156,15 @@ def kill_set(
     return Map(relation_space, pieces)
 
 
-def compute_flow_dependences(
-    model: PolyhedralModel,
-    include_while_statements: bool = False,
-) -> list[FlowDependence]:
+def compute_flow_dependences(model: PolyhedralModel) -> list[FlowDependence]:
     """All exact flow dependences of the model's affine fragment.
 
-    By default statements under ``while`` loops are excluded — their
+    Statements under ``while`` loops are excluded — their
     cross-iteration behaviour is handled by the general scheme and
-    inspectors (Section 4).  ``include_while_statements=True`` analyzes
-    them too, treating the while counter as an ordinary outer iterator
-    (used by the iterative-code optimization, Section 4.2).
+    inspectors (Section 4).
     """
     params = tuple(model.program.params)
-    statements = [
-        s
-        for s in model.statements
-        if include_while_statements or not s.in_while
-    ]
+    statements = [s for s in model.statements if not s.in_while]
     dependences: list[FlowDependence] = []
     writers_by_array: dict[str, list[StatementInfo]] = {}
     for info in statements:

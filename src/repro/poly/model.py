@@ -80,10 +80,6 @@ class PolyhedralModel:
         return [info.label for info in self.statements]
 
 
-class ModelError(ValueError):
-    """The program cannot be placed in the polyhedral model."""
-
-
 def condition_constraints(
     cond: Expr, names: set[str]
 ) -> list[Constraint] | None:

@@ -430,7 +430,7 @@ def _kernel_ns():
     )
 
 
-def compile_program(program: Program, cache: bool = True) -> CompiledKernel:
+def compile_program(program: Program) -> CompiledKernel:
     """Compile (or fetch from the cache) a kernel for ``program``.
 
     The kernel carries two bodies: the hooked entry, and an
@@ -445,8 +445,6 @@ def compile_program(program: Program, cache: bool = True) -> CompiledKernel:
     process re-assembles everywhere else from its persisted sources.
     """
     digest = ir_digest(program)
-    if not cache:
-        return _build_kernel(program, digest)
     key = (digest, code_digest(*EMITTER_SOURCES))
 
     def build():

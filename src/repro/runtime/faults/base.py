@@ -95,9 +95,6 @@ class FaultInjector:
         prefix once for many trials.  Re-read after the injector acts."""
         return None
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class NoFaults(FaultInjector):
     """Fault-free execution."""

@@ -15,7 +15,7 @@ exploits all three freedoms:
   to implement the same three ``async`` methods.
 * **streaming** — workers ship trial records back in small batches
   *while the shard runs*; the driver consumes them immediately (JSONL
-  log append, verdict counts), so ``campaign serve`` reports live
+  log append, verdict counts), so ``campaign run`` can report live
   progress and per-shard throughput instead of a terminal summary.
 * **reissue** — a worker crash mid-shard raises :class:`ShardFailed`;
   the dispatcher re-enqueues exactly the indices that never arrived

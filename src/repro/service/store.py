@@ -69,10 +69,7 @@ class Namespace:
     ``encode(value)`` must return a picklable payload (or ``None`` to
     keep the entry memory-only); ``decode(payload)`` rebuilds the value
     (or returns ``None`` to treat the disk entry as a miss — the
-    validation hook).  ``dir_resolver`` lets an owner point the
-    namespace at its own directory (the instrumentation cache's
-    ``REPRO_INSTRUMENT_CACHE`` compatibility path); when it yields
-    nothing, a disk-enabled namespace falls back to
+    validation hook).  A disk-enabled namespace persists under
     ``<store dir>/<name>/``.
     """
 
@@ -83,7 +80,6 @@ class Namespace:
         disk: bool = False,
         encode: Callable[[Any], Any] | None = None,
         decode: Callable[[Any], Any] | None = None,
-        dir_resolver: Callable[[], os.PathLike | str | None] | None = None,
     ) -> None:
         if limit < 1:
             raise ValueError("namespace limit must be positive")
@@ -92,7 +88,6 @@ class Namespace:
         self.disk = disk
         self.encode = encode
         self.decode = decode
-        self.dir_resolver = dir_resolver
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -176,10 +171,6 @@ class Namespace:
     # ------------------------------------------------------------------
     def directory(self) -> Path | None:
         """Where this namespace persists, if anywhere."""
-        if self.dir_resolver is not None:
-            resolved = self.dir_resolver()
-            if resolved is not None:
-                return Path(resolved)
         if not self.disk:
             return None
         base = store_dir()

@@ -161,6 +161,13 @@ class TestResume:
         with pytest.raises(ValueError):
             run_campaign(CHECKSUM_SPEC, resume=True)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_fewer_than_one_worker_rejected(self, workers, tmp_path):
+        log = tmp_path / "trials.jsonl"
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_campaign(CHECKSUM_SPEC, workers=workers, log_path=str(log))
+        assert not log.exists()
+
     def test_completed_log_resumes_to_noop(self, tmp_path):
         log = str(tmp_path / "trials.jsonl")
         first = run_campaign(CHECKSUM_SPEC, workers=1, log_path=log)

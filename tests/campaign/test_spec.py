@@ -116,6 +116,19 @@ class TestSpecRoundTrips:
         with pytest.raises(ValueError):
             spec_from_dict({"kind": "quantum"})
 
+    def test_negative_recover_retries_rejected(self):
+        # The controller treats -1 exactly like 0; refuse it instead of
+        # writing -1 into the log header.
+        with pytest.raises(ValueError, match="recover_retries must be >= 0"):
+            ProgramCampaignSpec(
+                trials=1, seed=0, benchmark="lu", recover=True,
+                recover_retries=-1,
+            )
+        spec = ProgramCampaignSpec(
+            trials=1, seed=0, benchmark="lu", recover=True, recover_retries=0
+        )
+        assert spec.recover_retries == 0
+
 
 class TestLegacyHeaders:
     """Log headers written before an execution knob was removed still

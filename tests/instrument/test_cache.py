@@ -18,7 +18,7 @@ from repro.instrument.pipeline import (
 )
 from repro.ir.parser import parse_program
 from repro.ir.printer import program_to_text
-from repro.service.store import store_stats
+from repro.service.store import ENV_STORE_DIR, set_store_dir, store_stats
 
 PROGRAM_TEXT = """
 program p(n) {
@@ -34,11 +34,11 @@ OPT = InstrumentationOptions(index_set_splitting=True, hoist_inspectors=True)
 
 @pytest.fixture(autouse=True)
 def clean_cache(monkeypatch):
-    monkeypatch.delenv(icache.ENV_CACHE_DIR, raising=False)
-    icache.set_cache_dir(None)
+    monkeypatch.delenv(ENV_STORE_DIR, raising=False)
+    set_store_dir(None)
     icache.clear_cache()
     yield
-    icache.set_cache_dir(None)
+    set_store_dir(None)
     icache.clear_cache()
     icache.set_cache_limit(128)
 
@@ -104,10 +104,17 @@ class TestMemoryLayer:
         assert stats["evictions"] == 1
 
 
+def _entry(tmp_path, program):
+    """Where the store keeps an instrumented program: one pickle per
+    key under the store directory's ``instrument/``."""
+    return tmp_path / "instrument" / f"{cache_key(program, OPT)}.pkl"
+
+
 class TestDiskLayer:
     def test_roundtrip(self, program, tmp_path):
-        icache.set_cache_dir(tmp_path)
+        set_store_dir(tmp_path)
         first = instrument_cached(program, OPT)
+        assert _entry(tmp_path, program).exists()
         icache.clear_cache()  # drop memory, keep disk
         second = instrument_cached(program, OPT)
         stats = store_stats()["instrument"]
@@ -120,7 +127,7 @@ class TestDiskLayer:
         or to the polyhedral, ISL or IR code under it, must not serve
         the old build."""
         assert {"poly/*.py", "isl/*.py", "ir/*.py"} <= set(icache.CODE_SOURCES)
-        icache.set_cache_dir(tmp_path)
+        set_store_dir(tmp_path)
         instrument_cached(program, OPT)
         icache.clear_cache()
         instrument_cached(program, OPT)
@@ -135,9 +142,9 @@ class TestDiskLayer:
         assert stats["misses"] == 1 and stats["disk_hits"] == 0
 
     def test_corrupted_entry_recomputed(self, program, tmp_path):
-        icache.set_cache_dir(tmp_path)
+        set_store_dir(tmp_path)
         first = instrument_cached(program, OPT)
-        path = tmp_path / f"{cache_key(program, OPT)}.pkl"
+        path = _entry(tmp_path, program)
         path.write_bytes(b"not a pickle")
         icache.clear_cache()
         second = instrument_cached(program, OPT)
@@ -149,23 +156,42 @@ class TestDiskLayer:
         assert store_stats()["instrument"]["disk_hits"] == 1
 
     def test_wrong_payload_type_rejected(self, program, tmp_path):
-        icache.set_cache_dir(tmp_path)
-        path = tmp_path / f"{cache_key(program, OPT)}.pkl"
+        set_store_dir(tmp_path)
+        path = _entry(tmp_path, program)
+        path.parent.mkdir()
         path.write_bytes(pickle.dumps({"not": "an entry"}))
         instrument_cached(program, OPT)
         assert store_stats()["instrument"]["misses"] == 1
 
     def test_env_var_enables_disk(self, program, tmp_path, monkeypatch):
-        monkeypatch.setenv(icache.ENV_CACHE_DIR, str(tmp_path))
-        assert icache.cache_dir() == tmp_path
+        monkeypatch.setenv(ENV_STORE_DIR, str(tmp_path))
         instrument_cached(program, OPT)
-        assert (tmp_path / f"{cache_key(program, OPT)}.pkl").exists()
+        assert _entry(tmp_path, program).exists()
+        icache.clear_cache()
+        instrument_cached(program, OPT)
+        assert store_stats()["instrument"]["disk_hits"] == 1
+
+    def test_old_private_directory_entry_is_a_cold_miss(
+        self, program, tmp_path
+    ):
+        """An entry in the layout of the removed instrument-only
+        directory (``<dir>/<key>.pkl``) is never read: a miss, not an
+        error."""
+        set_store_dir(tmp_path)
+        fresh = instrument_program(program, OPT)
+        (tmp_path / f"{cache_key(program, OPT)}.pkl").write_bytes(
+            pickle.dumps(fresh)
+        )
+        instrument_cached(program, OPT)
+        stats = store_stats()["instrument"]
+        assert stats["misses"] == 1 and stats["disk_hits"] == 0
+        assert _entry(tmp_path, program).exists()
 
     def test_unwritable_dir_degrades_to_memory(self, program, tmp_path):
         target = tmp_path / "sub"
         target.mkdir()
         target.chmod(0o500)  # read/execute only
-        icache.set_cache_dir(target)
+        set_store_dir(target)
         try:
             first = instrument_cached(program, OPT)
             second = instrument_cached(program, OPT)

@@ -182,22 +182,15 @@ class TestDiskLayer:
         set_store_dir(tmp_path / "explicit")
         assert store_dir() == tmp_path / "explicit"
 
-    def test_dir_resolver_wins(self, tmp_path):
-        set_store_dir(tmp_path / "store")
-        private = tmp_path / "private"
-        ns = Namespace("t-resolver", disk=True, dir_resolver=lambda: private)
-        ns.get_or_compute("k", lambda: 1)
-        assert (private / "k.pkl").exists()
-
     def test_unwritable_dir_degrades(self, tmp_path):
         target = tmp_path / "ro"
         target.mkdir()
         os.chmod(target, 0o500)
         try:
-            ns = Namespace(
-                "t-ro", disk=True, dir_resolver=lambda: target / "sub"
-            )
+            set_store_dir(target / "sub")
+            ns = Namespace("t-ro", disk=True)
             assert ns.get_or_compute("k", lambda: 9) == 9
+            assert ns.lookup("k") == 9
         finally:
             os.chmod(target, 0o700)
 

@@ -1,6 +1,7 @@
 """CLI tests (python -m repro)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -208,18 +209,116 @@ class TestCampaign:
          "--verify-vector"],
         ["run", "PROGRAM", "--backend", "vector"],
         ["campaign", "run", "--benchmark", "jacobi1d", "--backend", "vector"],
+        ["run", "PROGRAM", "--backend", "interp"],
+        ["campaign", "run", "--benchmark", "jacobi1d", "--backend",
+         "compiled"],
+        ["campaign", "run", "--benchmark", "jacobi1d", "--instrument-cache",
+         "DIR"],
+        ["instrument", "PROGRAM", "--instrument-cache", "DIR"],
+        ["campaign", "serve"],
     ], ids=["run-opt-level", "campaign-run-opt-level",
             "campaign-serve-opt-level", "campaign-run-verify-vector",
             "campaign-serve-verify-vector", "run-backend-vector",
-            "campaign-run-backend-vector"])
-    def test_removed_flags_are_usage_errors(self, argv, demo_file, capsys):
-        argv = [demo_file if arg == "PROGRAM" else arg for arg in argv]
+            "campaign-run-backend-vector", "run-backend-interp",
+            "campaign-run-backend-compiled", "campaign-run-instrument-cache",
+            "instrument-instrument-cache", "campaign-serve"])
+    def test_removed_flags_are_usage_errors(
+        self, argv, demo_file, tmp_path, capsys
+    ):
+        substitute = {"PROGRAM": demo_file, "DIR": str(tmp_path / "cache")}
+        argv = [substitute.get(arg, arg) for arg in argv]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].startswith("repro") and "error:" in err[-1]
         assert "Traceback" not in "\n".join(err)
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("harness", ["figure10", "table1"])
+    @pytest.mark.parametrize("flag", [
+        ["--backend", "interp"], ["--instrument-cache", "DIR"],
+        ["--workers", "0"],
+    ], ids=["backend", "instrument-cache", "workers-zero"])
+    def test_harness_usage_errors(self, harness, flag, tmp_path, capsys):
+        import importlib
+
+        module = importlib.import_module(f"repro.experiments.{harness}")
+        argv = [str(tmp_path / "cache") if arg == "DIR" else arg
+                for arg in flag]
+        with pytest.raises(SystemExit) as exit_info:
+            module.main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert "error:" in err[-1] and flag[0] in err[-1]
+        assert "Traceback" not in "\n".join(err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["campaign", "run", "--benchmark", "jacobi1d", "--recover",
+          "--recover-retries", "-1"], "recover_retries must be >= 0, got -1"),
+        (["run", "PROGRAM", "--param", "n=6", "--init", "A=randspd",
+          "--recover", "--recover-retries", "-1"],
+         "--recover-retries must be >= 0, got -1"),
+        (["campaign", "run", "--benchmark", "jacobi1d", "--workers", "-2"],
+         "workers must be >= 1, got -2"),
+        (["campaign", "run", "--benchmark", "jacobi1d", "--workers", "0"],
+         "workers must be >= 1, got 0"),
+    ], ids=["campaign-recover-retries", "run-recover-retries",
+            "campaign-workers-negative", "campaign-workers-zero"])
+    def test_out_of_range_integers_are_rejected(
+        self, argv, message, demo_file, tmp_path, capsys
+    ):
+        """Out-of-range counts fail with one line and exit 1 instead of
+        running as if 0 retries or one worker had been asked for."""
+        log = tmp_path / "rejected.jsonl"
+        argv = [demo_file if arg == "PROGRAM" else arg for arg in argv]
+        if argv[0] == "campaign":
+            argv += ["--trials", "4", "--log", str(log)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == message
+        assert not log.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_resume_rejects_zero_workers(self, tmp_path, capsys):
+        log = str(tmp_path / "trials.jsonl")
+        assert main(["campaign", "run", "--benchmark", "jacobi1d",
+                     "--trials", "4", "--log", log]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "resume", log, "--workers", "0"])
+        assert exit_info.value.code == "workers must be >= 1, got 0"
+
+    @staticmethod
+    def _progress_run(monkeypatch, capsys, workers: int, tty: bool):
+        monkeypatch.setattr("sys.stderr.isatty", lambda: tty)
+        assert main(["campaign", "run", "--benchmark", "cholesky",
+                     "--trials", "8", "--seed", "3",
+                     "--workers", str(workers)]) == 0
+        captured = capsys.readouterr()
+        # Only the timing numbers vary, and the store counters: a
+        # worker prepares on its first shard, if it gets one.
+        out = re.sub(r"\d+\.\d+s\b|\d+(\.\d+)?/s", "T", "".join(
+            line for line in captured.out.splitlines(keepends=True)
+            if not line.startswith("artifact store:")
+        ))
+        progress = [line for line in captured.err.splitlines()
+                    if line.startswith("[progress]")]
+        return out, progress
+
+    def test_progress_on_a_terminal_goes_to_stderr(self, monkeypatch, capsys):
+        out, progress = self._progress_run(monkeypatch, capsys, 2, tty=True)
+        assert progress and progress[-1].startswith("[progress] 8/8 trials")
+        assert "[progress]" not in out
+        quiet_out, quiet = self._progress_run(
+            monkeypatch, capsys, 2, tty=False
+        )
+        assert quiet == [] and quiet_out == out
+        serial_out, serial = self._progress_run(
+            monkeypatch, capsys, 1, tty=True
+        )
+        assert serial == []
+        assert "(serial)" in serial_out and "service:" not in serial_out
 
     def test_prune_static(self, capsys):
         code = main(
@@ -288,6 +387,8 @@ class TestCampaign:
     )
 
     def test_legacy_batch_header_reports_and_resumes(self, tmp_path, capsys):
+        from dataclasses import replace
+
         from repro.campaign import ProgramCampaignSpec, read_log, run_campaign
         from repro.campaign.records import write_record
 
@@ -296,6 +397,9 @@ class TestCampaign:
         )
         reference = run_campaign(spec, workers=1).records
         headers = {
+            "interp": self.LEGACY_HEADER.replace(
+                '"backend": "compiled"', '"backend": "interp"'
+            ),
             "batch": self.LEGACY_HEADER,
             "opt_level0": self.LEGACY_HEADER.replace(
                 '"opt_level": 2', '"opt_level": 0'
@@ -311,14 +415,20 @@ class TestCampaign:
                 for record in reference[:5]:
                     write_record(handle, record)
             assert main(["campaign", "report", log]) == 0
-            assert "5/12 trials" in capsys.readouterr().out
+            report = capsys.readouterr().out
+            assert "5/12 trials" in report
+            if name == "interp":
+                assert "backend: interp" in report.splitlines()
             assert main(["campaign", "resume", log, "--workers", "2"]) == 0
             assert "5 recovered from log" in capsys.readouterr().out
             contents = read_log(log)
             assert [r.canonical() for r in contents.records] == [
                 r.canonical() for r in reference
             ], name
-            assert contents.spec_dict == spec.to_dict()
+            expected = spec if name != "interp" else replace(
+                spec, backend="interp"
+            )
+            assert contents.spec_dict == expected.to_dict()
 
     def test_report_rejects_unknown_spec_field(self, tmp_path):
         log = tmp_path / "future.jsonl"
