@@ -2,14 +2,15 @@
 
 Layers:
 
-* :mod:`repro.analysis.timeline` — symbolic replay of the program into
-  a per-cell load/store event stream with checksum-contribution
-  annotations.
+* :mod:`repro.analysis.timeline` — the golden run's per-cell load/store
+  event stream with checksum-contribution annotations, recorded from
+  the reference interpreter.
 * :mod:`repro.analysis.classify` — per-(cell, strike-time) outcome
   classification: ``detected`` / ``masked`` / ``vulnerable`` /
   ``unknown``.
-* :mod:`repro.analysis.oracle` — per-trial verdict prediction by exact
-  injector-RNG replication (powers ``campaign run --prune static``).
+* :mod:`repro.analysis.oracle` — per-trial verdict prediction by firing
+  each trial's own injector on the recorded stream (powers ``campaign
+  run --prune static``).
 * :mod:`repro.analysis.coverage` — whole-distribution class fractions
   per benchmark and fault model (``repro analyze``,
   ``ANALYSIS_coverage.json``).
@@ -33,7 +34,6 @@ from repro.analysis.timeline import (
     Timeline,
     TimelineUnsupported,
     build_timeline,
-    clear_timeline_memo,
 )
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "analyze_all",
     "analyze_benchmark",
     "build_timeline",
-    "clear_timeline_memo",
     "detect_probability",
     "has_errors",
     "lint_program",

@@ -20,17 +20,19 @@ ordinal ``>= t`` up to (and excluding) the cell's next store — the
   net is provably zero: the checksums are structurally blind here (the
   redirected-store / dead-contribution class of docs/FAULT_MODELS.md);
   whether the run ends in SDC is value-dependent.
-* :data:`UNKNOWN` — anything the analysis cannot bound (poisoned
-  loads, unknown counts).
+* :data:`UNKNOWN` — the undecided rest on a data-dependent program
+  (:attr:`~repro.analysis.timeline.Timeline.data_dependent`), where a
+  corrupted read can change the event stream itself, so neither a
+  detection proof nor structural blindness holds.
 
 The delta formula above implicitly assumes every *other* cell
 generation contributes a zero net to the pair (corruption that
 propagates into other cells then cancels out of the pair).  That is
 exactly the def/use balance the instrumentation establishes, and
 :class:`ProgramClassifier` *verifies* it per generation instead of
-assuming it: any pair with an unknown or nonzero per-generation net
-anywhere in the program is excluded from detection reasoning.  MASKED
-classifications never rely on it (nothing corrupt is ever loaded).
+assuming it: any pair with a nonzero per-generation net anywhere in the
+program is excluded from detection reasoning.  MASKED classifications
+never rely on it (nothing corrupt is ever loaded).
 """
 
 from __future__ import annotations
@@ -58,20 +60,10 @@ def v2(value: int) -> int:
 class Window:
     """One vulnerability-window equivalence class of strike times."""
 
-    __slots__ = ("masked", "poisoned", "unknown", "min_v2")
+    __slots__ = ("masked", "min_v2")
 
-    def __init__(
-        self,
-        masked: bool,
-        poisoned: bool = False,
-        unknown: bool = False,
-        min_v2: int | None = None,
-    ) -> None:
+    def __init__(self, masked: bool, min_v2: int | None = None) -> None:
         self.masked = masked
-        self.poisoned = poisoned
-        """A load in the window steers control/addresses when corrupt."""
-        self.unknown = unknown
-        """Some checked pair's window net could not be computed."""
         self.min_v2 = min_v2
         """Smallest ``v2(net)`` over checked pairs with nonzero net."""
 
@@ -91,8 +83,12 @@ class ProgramClassifier:
         """Final-assert pairs whose per-generation nets are all provably
         zero — the only pairs detection predictions may rely on."""
         self.detection_allowed = (
-            bool(self.valid_pairs) and not timeline.divide_hazard
+            bool(self.valid_pairs)
+            and not timeline.divide_hazard
+            and not timeline.data_dependent
         )
+        self.undecided = UNKNOWN if timeline.data_dependent else VULNERABLE
+        """The class of a window with loads and no detection proof."""
         self._segments: dict[tuple[str, tuple[int, ...]], tuple] = {}
 
     # -- generation-balance validation ----------------------------------
@@ -105,16 +101,10 @@ class ProgramClassifier:
                     if net != 0:
                         return False
                     net = 0
-                for name, count, real in event.contribs:
-                    if not real:
-                        continue
+                for name, count in event.contribs:
                     if name == left:
-                        if count is None:
-                            return False
                         net += count
                     elif name == right:
-                        if count is None:
-                            return False
                         net -= count
             if net != 0:
                 return False
@@ -132,54 +122,25 @@ class ProgramClassifier:
         events = self.timeline.cells.get(key, [])
         pairs = self.valid_pairs
         reverse_out: list[tuple[int, Window]] = []
-        nets: list[int | None] = [0] * len(pairs)
-        poisoned = False
-        unknown = False
+        nets = [0] * len(pairs)
         for event in reversed(events):
             if not event.is_load:
                 nets = [0] * len(pairs)
-                poisoned = False
-                unknown = False
                 reverse_out.append((event.loads_before, MASKED_WINDOW))
                 continue
-            if event.poison_all:
-                poisoned = True
-            for name, count, real in event.contribs:
-                if count is None:
-                    unknown = True
-                if not real:
-                    continue
+            for name, count in event.contribs:
                 for position, (left, right) in enumerate(pairs):
                     if name == left:
-                        delta = count
+                        nets[position] += count
                     elif name == right:
-                        delta = None if count is None else -count
-                    else:
-                        continue
-                    if delta is None or nets[position] is None:
-                        nets[position] = None
-                    else:
-                        nets[position] += delta
-            min_valuation: int | None = None
-            for net in nets:
-                if net is None:
-                    unknown = True
-                    continue
-                residue = net & MASK64
-                if residue:
-                    valuation = v2(residue)
-                    if min_valuation is None or valuation < min_valuation:
-                        min_valuation = valuation
+                        nets[position] -= count
+            residues = [net & MASK64 for net in nets]
+            min_valuation = min(
+                (v2(residue) for residue in residues if residue),
+                default=None,
+            )
             reverse_out.append(
-                (
-                    event.ordinal,
-                    Window(
-                        masked=False,
-                        poisoned=poisoned,
-                        unknown=unknown,
-                        min_v2=min_valuation,
-                    ),
-                )
+                (event.ordinal, Window(masked=False, min_v2=min_valuation))
             )
         reverse_out.reverse()
         floors = [floor for floor, _ in reverse_out]
@@ -201,7 +162,6 @@ class ProgramClassifier:
         return (
             self.detection_allowed
             and not window.masked
-            and not window.poisoned
             and window.min_v2 is not None
             and bool(bits)
             and window.min_v2 + min(bits) < 64
@@ -213,9 +173,7 @@ class ProgramClassifier:
             return MASKED
         if self.window_detects(window, bits):
             return DETECTED
-        if window.poisoned or window.unknown:
-            return UNKNOWN
-        return VULNERABLE
+        return self.undecided
 
     def window_fractions(self, window: Window, num_bits: int) -> dict[str, float]:
         """Aggregate class fractions for a uniform ``num_bits``-bit flip
@@ -225,19 +183,17 @@ class ProgramClassifier:
             return {MASKED: 1.0}
         if (
             self.detection_allowed
-            and not window.poisoned
             and window.min_v2 is not None
             and num_bits > 0
         ):
             probability = detect_probability(window.min_v2, num_bits)
         else:
             probability = 0.0
-        rest = UNKNOWN if (window.poisoned or window.unknown) else VULNERABLE
         fractions: dict[str, float] = {}
         if probability > 0.0:
             fractions[DETECTED] = probability
         if probability < 1.0:
-            fractions[rest] = 1.0 - probability
+            fractions[self.undecided] = 1.0 - probability
         return fractions
 
 

@@ -21,8 +21,11 @@ shared model and dependences
 (:func:`repro.poly.analysis.program_analysis`) — the piecewise
 use-count machinery the instrumentation itself is built from.
 
-Benchmarks whose event stream is data-dependent (``cg``, ``moldyn``)
-get a ``conservative`` basis: every injected class is ``unknown``.
+On data-dependent programs (``cg``, ``moldyn``) a corrupted read can
+change the event stream, so no class is ``detected`` or ``vulnerable``:
+what is not provably ``masked`` is ``unknown``.  A spec the oracle
+declines gets a ``conservative`` basis: every injected class is
+``unknown``.
 
 `analyze_all` produces the ``ANALYSIS_coverage.json`` artifact.
 """
@@ -31,12 +34,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.analysis.classify import (
-    DETECTED,
-    MASKED,
-    UNKNOWN,
-    VULNERABLE,
-)
+from repro.analysis.classify import MASKED, UNKNOWN
 from repro.analysis.oracle import CLASS_NO_INJECTION, StaticOracle
 from repro.runtime.faults.base import cell_at, linear_offset
 from repro.runtime.faults.spec import FAULT_MODELS
@@ -231,8 +229,9 @@ class CoverageAnalyzer:
             fractions[CLASS_NO_INJECTION] = no_injection
         # A fired redirect reads a pristine word from the wrong cell —
         # structurally invisible to the def/use checksums; whether it
-        # propagates to output is value-dependent.
-        fractions[VULNERABLE] = 1.0 - no_injection
+        # propagates to output is value-dependent (and on a
+        # data-dependent program the wrong word may steer the stream).
+        fractions[self.classifier.undecided] = 1.0 - no_injection
         return fractions, {}
 
     def addrgen_store(self) -> tuple[dict, dict]:
@@ -265,10 +264,7 @@ class CoverageAnalyzer:
                 continue
             shape = timeline.shapes[name]
             size = _size(shape)
-            effectful = any(
-                (not real) or count is None or count != 0
-                for _, count, real in event.contribs
-            )
+            effectful = any(count != 0 for _, count in event.contribs)
             offset = linear_offset(event.indices, shape)
             intended_dies = timeline.store_kills(name, event.indices, event)
             bit_count = size.bit_length()
@@ -285,7 +281,7 @@ class CoverageAnalyzer:
             # The non-benign remainder: a no-contribution redirected
             # store is the checksum-blind class (vulnerable); a store
             # that feeds checksums may or may not unbalance them.
-            rest_class = UNKNOWN if effectful else VULNERABLE
+            rest_class = UNKNOWN if effectful else self.classifier.undecided
             store_fractions = {MASKED: benign, rest_class: 1.0 - benign}
             _merge(mass, store_fractions, weight)
             _merge(per_array_mass[name], store_fractions, weight)

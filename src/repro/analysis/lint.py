@@ -15,16 +15,17 @@ coverage.  The linter catches the mechanical classes:
 * **undeclared-region** (error) — an access to a region with no
   declaration.
 * **channel-imbalance** (error, needs ``params``) — a final-assert
-  pair whose per-generation def/use nets do not cancel on the static
-  timeline: the verifier would fire on a fault-free run.
+  pair whose per-generation def/use nets do not cancel on the recorded
+  timeline of a zero-data run: the verifier would fire on a fault-free
+  run.
 * **unreachable-guard** (warning) — an ``if`` whose condition is
   provably empty inside its loop nest (ISL emptiness on the affine
   guard polyhedron).
 * **vacuous-pair** (info) — an asserted pair no contribution ever
   feeds (always-zero compare; harmless but noteworthy).
-* **balance-skipped** (info) — the timeline is unavailable
-  (``while`` loops, data-dependent control) so the dynamic balance
-  check did not run.
+* **balance-skipped** (info) — the event stream depends on data (a
+  zero-data run proves nothing for other inputs) or the fault-free run
+  fails, so the dynamic balance check did not run.
 """
 
 from __future__ import annotations
@@ -279,10 +280,10 @@ class _Linter:
 def lint_program(program: Program, params=None) -> list[LintIssue]:
     """All lint findings for ``program``.
 
-    With ``params`` the static timeline additionally verifies the
-    per-generation def/use balance of every final-assert pair — the
-    dynamic property that a fault-free run ends with every checked
-    channel pair equal.
+    With ``params`` the recorded timeline of a zero-data run
+    additionally verifies the per-generation def/use balance of every
+    final-assert pair — the dynamic property that a fault-free run ends
+    with every checked channel pair equal.
     """
     linter = _Linter(program)
     issues = linter.run()
@@ -293,18 +294,28 @@ def lint_program(program: Program, params=None) -> list[LintIssue]:
 
 def _balance_issues(program: Program, params) -> list[LintIssue]:
     from repro.analysis.classify import ProgramClassifier
-    from repro.analysis.timeline import TimelineUnsupported, build_timeline
+    from repro.analysis.timeline import (
+        TimelineUnsupported,
+        build_timeline,
+        ir_hazards,
+    )
 
-    try:
-        timeline = build_timeline(program, params)
-    except TimelineUnsupported as exc:
+    def skipped(reason) -> list[LintIssue]:
         return [
             LintIssue(
                 "info",
                 "balance-skipped",
-                f"per-generation balance not checked: {exc}",
+                f"per-generation balance not checked: {reason}",
             )
         ]
+
+    # A zero-data run proves nothing about a stream other data steers.
+    if ir_hazards(program)[1]:
+        return skipped("event stream depends on data")
+    try:
+        timeline = build_timeline(program, params)
+    except TimelineUnsupported as exc:
+        return skipped(exc)
     classifier = ProgramClassifier(timeline)
     issues = []
     valid = set(classifier.valid_pairs)
@@ -315,7 +326,7 @@ def _balance_issues(program: Program, params) -> list[LintIssue]:
                     "error",
                     "channel-imbalance",
                     f"final-assert pair {pair!r} has a generation whose "
-                    "def/use contribution net is nonzero or unknown — "
+                    "def/use contribution net is nonzero — "
                     "the verifier can fire on a fault-free run",
                 )
             )

@@ -1,9 +1,12 @@
 """Static per-trial oracle: predict campaign verdicts without running.
 
-:class:`StaticOracle` replays a trial's RNG draws (the injectors
-consume their :mod:`random` streams in a documented, frozen order)
-against the static :class:`~repro.analysis.timeline.Timeline` to learn
-*where* the fault would land, then asks the
+:class:`StaticOracle` builds a trial's real injector
+(:meth:`~repro.campaign.spec.ProgramCampaignSpec.trial_injector`) and
+fires it on the golden run's recorded accesses
+(:class:`~repro.analysis.timeline.Timeline`), from the access its
+``arms_at()`` names until it sets its ``record``.  Up to that access a
+trial runs the golden run, so the replay learns *where* the fault
+lands without mirroring any injector's random draws.  It then asks the
 :class:`~repro.analysis.classify.ProgramClassifier` whether that site
 is provably ``DETECTED`` (a checked checksum pair must unbalance) or
 ``MASKED`` (the corruption dies unread — measured verdict *benign*).
@@ -13,22 +16,19 @@ returns ``None`` and the campaign engine runs the trial for real —
 ``VULNERABLE``/unknown frontier.
 
 A predicted record is schema-compatible with a measured one: same
-verdict vocabulary, the *exact* injection dict the injector would have
-recorded (bit-for-bit, since the RNG replication is exact), and
+verdict vocabulary, the injector's own injection dict, and
 ``extra.predicted = True`` so reports and resumes can tell them apart.
 
 The oracle disables itself (``enabled = False`` with a ``reason``)
 whenever any of its assumptions does not hold: recovery campaigns
-(trials re-execute), timelines it cannot build (``while`` loops,
-data-dependent control), shadow regions in the target list, or an
-event-total mismatch against the prepared golden run (the safety valve
-that guards the whole construction).
+(trials re-execute), a fault-free run that fails, shadow regions in
+the target list, or an event-total mismatch against the prepared golden
+run (the safety valve that guards the whole construction).
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 
 from repro.analysis.classify import (
     DETECTED as CLASS_DETECTED,
@@ -36,14 +36,13 @@ from repro.analysis.classify import (
     ProgramClassifier,
 )
 from repro.analysis.timeline import (
-    DEFAULT_MAX_EVENTS,
     Timeline,
     TimelineUnsupported,
     build_timeline,
 )
 from repro.campaign.records import BENIGN, DETECTED, NO_INJECTION, TrialRecord
-from repro.runtime.faults.base import InjectionRecord, cell_at, linear_offset
-from repro.runtime.faults.spec import FAULT_MODELS
+from repro.runtime.faults.base import injectable_targets
+from repro.runtime.memory import build_memory_for_program
 
 CLASS_NO_INJECTION = "no_injection"
 
@@ -51,7 +50,7 @@ CLASS_NO_INJECTION = "no_injection"
 class StaticOracle:
     """Predicts provable trial outcomes for one campaign spec."""
 
-    def __init__(self, spec, prepared=None, max_events: int = DEFAULT_MAX_EVENTS):
+    def __init__(self, spec, prepared=None):
         self.spec = spec
         self.enabled = False
         self.reason = ""
@@ -63,9 +62,6 @@ class StaticOracle:
         if spec.recover:
             self.reason = "recovery trials re-execute; not modeled"
             return
-        if spec.fault_model not in FAULT_MODELS:
-            self.reason = f"unknown fault model {spec.fault_model!r}"
-            return
         if prepared is None:
             prepared = spec.prepare()
         if getattr(prepared, "plan", None) is not None:
@@ -73,7 +69,7 @@ class StaticOracle:
             return
         try:
             timeline = build_timeline(
-                prepared.program, prepared.params, max_events=max_events
+                prepared.program, prepared.params, prepared.values
             )
         except TimelineUnsupported as exc:
             self.reason = f"timeline unavailable: {exc}"
@@ -82,11 +78,11 @@ class StaticOracle:
             timeline.total_loads != prepared.total_loads
             or timeline.total_stores != prepared.total_stores
         ):
-            # Safety valve: if the static replay's event stream does not
-            # match the measured golden run exactly, nothing downstream
-            # can be trusted.
+            # Safety valve: if the recorded event stream does not match
+            # the measured golden run exactly, nothing downstream can be
+            # trusted.
             self.reason = (
-                "static event totals "
+                "recorded event totals "
                 f"({timeline.total_loads}L/{timeline.total_stores}S) "
                 "disagree with the golden run "
                 f"({prepared.total_loads}L/{prepared.total_stores}S)"
@@ -100,26 +96,18 @@ class StaticOracle:
             if name in timeline.shadow:
                 self.reason = (
                     f"target {name!r} is a shadow region; counter "
-                    "corruption invalidates the concrete replay"
+                    "corruption invalidates the recorded stream"
                 )
                 return
+        self.prepared = prepared
         self.timeline = timeline
         self.classifier = ProgramClassifier(timeline)
-        # Mirrors faults.base.injectable_targets for the static shapes:
-        # same order, same zero-extent filter, so rng.choice draws the
-        # same element the live injector would.
-        self.injectable = [
-            name
-            for name in self.targets
-            if all(extent > 0 for extent in timeline.shapes[name])
-        ]
-        self._store_ordinals = {
-            name: [
-                event.ordinal
-                for event in timeline.stores_by_array.get(name, [])
-            ]
-            for name in self.targets
-        }
+        self._memory = build_memory_for_program(
+            prepared.program, prepared.params, wild_reads=True
+        )
+        """Zeroed scratch memory the injectors fire on: a struck word
+        then holds exactly the bits its injector flipped."""
+        self.injectable = injectable_targets(self._memory, self.targets)
         self.enabled = True
 
     # ------------------------------------------------------------------
@@ -127,27 +115,19 @@ class StaticOracle:
         """A predicted :class:`TrialRecord`, or ``None`` = run it."""
         if not self.enabled:
             return None
-        from repro.campaign.spec import trial_seed
-
         start = time.perf_counter()
-        seed = trial_seed(self.spec.seed, index)
-        import random
-
-        rng = random.Random(seed)
-        model = self.spec.fault_model
-        if model == "random_cell":
-            outcome = self._predict_random_cell(rng)
-        elif model == "burst":
-            outcome = self._predict_burst(rng)
-        elif model == "stuck_bit":
-            outcome = self._predict_stuck_bit(rng)
-        elif model in ("addrgen_load", "addrgen_store"):
-            outcome = self._predict_addrgen(rng, model.removeprefix("addrgen_"))
-        else:  # pragma: no cover - guarded in __init__
-            return None
-        if outcome is None:
-            return None
-        verdict, injection, predicted_class = outcome
+        seed, injector = self.spec.trial_injector(index, self.prepared)
+        record, masks = self._fire(injector)
+        if record is None:
+            verdict, injection, predicted_class = (
+                NO_INJECTION, None, CLASS_NO_INJECTION
+            )
+        else:
+            outcome = self._prove(record, masks)
+            if outcome is None:
+                return None
+            verdict, predicted_class = outcome
+            injection = record.to_dict()
         return TrialRecord(
             index=index,
             seed=seed,
@@ -155,187 +135,95 @@ class StaticOracle:
             injection=injection,
             elapsed=time.perf_counter() - start,
             extra={
-                "fault_model": model,
+                "fault_model": self.spec.fault_model,
                 "predicted": True,
                 "predicted_class": predicted_class,
             },
         )
 
-    # -- per-model replication ------------------------------------------
-    def _no_injection(self):
-        return NO_INJECTION, None, CLASS_NO_INJECTION
-
-    def _predict_random_cell(self, rng):
-        timeline = self.timeline
-        if self.spec.bits == 0 or self.targets == ():
-            return self._no_injection()  # injector leaves the RNG untouched
-        trigger = rng.randint(1, timeline.total_loads)
-        if not self.injectable:
-            return self._no_injection()
-        array = rng.choice(self.injectable)
-        shape = timeline.shapes[array]
-        cell = tuple(rng.randrange(extent) for extent in shape)
-        bits = tuple(rng.sample(range(64), self.spec.bits))
-        injection = InjectionRecord(
-            array=array, indices=cell, bits=bits, at_load=trigger
-        ).to_dict()
-        window = self.classifier.window_at(array, cell, trigger)
-        if window.masked:
-            return BENIGN, injection, CLASS_MASKED
-        if self.classifier.window_detects(window, bits):
-            return DETECTED, injection, CLASS_DETECTED
-        return None
-
-    def _predict_burst(self, rng):
-        timeline = self.timeline
-        spec = self.spec
-        if spec.bits == 0 or spec.burst_cells == 0 or self.targets == ():
-            return self._no_injection()
-        trigger = rng.randint(1, timeline.total_loads)
-        if not self.injectable:
-            return self._no_injection()
-        array = rng.choice(self.injectable)
-        shape = timeline.shapes[array]
-        size = 1
-        for extent in shape:
-            size *= extent
-        start = rng.randrange(size)
-        struck: list[tuple[int, ...]] = []
-        struck_bits: list[tuple[int, ...]] = []
-        first_bits: tuple[int, ...] = ()
-        for offset in range(start, min(start + spec.burst_cells, size)):
-            cell = cell_at(offset, shape)
-            bits = tuple(rng.sample(range(64), spec.bits))
-            struck.append(cell)
-            struck_bits.append(bits)
-            if not first_bits:
-                first_bits = bits
-        injection = InjectionRecord(
-            array=array,
-            indices=struck[0],
-            bits=first_bits,
-            at_load=trigger,
-            kind="burst",
-            cells=tuple(struck),
-        ).to_dict()
-        exposed = []
-        for cell, bits in zip(struck, struck_bits):
-            window = self.classifier.window_at(array, cell, trigger)
-            if window.masked:
-                continue
-            exposed.append((window, bits))
-        if not exposed:
-            return BENIGN, injection, CLASS_MASKED
-        if len(exposed) == 1 and self.classifier.window_detects(*exposed[0]):
-            # Every other struck cell is masked (zero checksum delta),
-            # so the single exposed cell's provable imbalance survives
-            # the sum over cells.
-            return DETECTED, injection, CLASS_DETECTED
-        return None
-
-    def _predict_stuck_bit(self, rng):
-        timeline = self.timeline
-        spec = self.spec
-        if self.targets == ():
-            return self._no_injection()
-        start = rng.randint(1, timeline.total_loads)
-        if not self.injectable:
-            return self._no_injection()
-        array = rng.choice(self.injectable)
-        shape = timeline.shapes[array]
-        cell = tuple(rng.randrange(extent) for extent in shape)
-        bit = rng.randrange(64)
-        value = rng.randint(0, 1)  # campaign specs never pin stuck_to
-        window = (
-            spec.stuck_window
-            if spec.stuck_window > 0
-            else max(16, timeline.total_loads // 16)
-        )
-        injection = InjectionRecord(
-            array=array,
-            indices=cell,
-            bits=(bit,),
-            at_load=start,
-            kind="stuck_bit",
-            cells=(cell,),
-            window=(start, start + window - 1),
-            stuck_to=value,
-        ).to_dict()
-        if timeline.last_load_ordinal(array, cell) < start:
-            # The forced bit is never read at or after the arm point:
-            # stores during the window are re-forced at rest but those
-            # words are never loaded either, so nothing propagates and
-            # no contribution is corrupted.  (Never predict DETECTED
-            # here — forcing can be a value-level no-op.)
-            return BENIGN, injection, CLASS_MASKED
-        return None
-
-    def _predict_addrgen(self, rng, mode: str):
-        timeline = self.timeline
-        if self.targets == ():
-            return self._no_injection()
-        expected = (
-            timeline.total_loads if mode == "load" else timeline.total_stores
-        )
-        trigger = rng.randint(1, expected)
-        fired_name = None
-        fired_ordinal = None
-        for name in self.targets:
-            shape = timeline.shapes[name]
-            if not shape or any(extent <= 0 for extent in shape):
-                continue  # scalars / zero-size regions never fire
-            if mode == "load":
-                ordinals = timeline.loads_by_array.get(name, [])
+    def _fire(self, injector):
+        """Replay the golden accesses from the injector's arm point on
+        the scratch memory until it records its injection (or gives up,
+        finding nothing to strike).  Returns the record (or ``None``)
+        and the bits flipped in each struck cell."""
+        arms = injector.arms_at()
+        if arms is None:
+            return None, {}
+        memory = self._memory
+        memory.injector = injector
+        for event in self.timeline.accesses_from(*arms):
+            if event.is_load:
+                memory.load_count = event.ordinal - 1
+                memory.store_count = event.stores_before
+                memory.load_bits(event.array, event.indices)
             else:
-                ordinals = self._store_ordinals.get(name, [])
-            position = bisect_left(ordinals, trigger)
-            if position < len(ordinals):
-                candidate = ordinals[position]
-                if fired_ordinal is None or candidate < fired_ordinal:
-                    fired_ordinal = candidate
-                    fired_name = name
-        if fired_ordinal is None:
-            return self._no_injection()
-        if mode == "load":
-            # A redirected load reads a pristine word from the wrong
-            # cell — the structurally checksum-blind class; whether it
-            # propagates is value-dependent, so measure it.
+                memory.load_count = event.loads_before
+                memory.store_count = event.ordinal - 1
+                memory.store_bits(event.array, event.indices, 0)
+            if injector.record is not None or injector.arms_at() is None:
+                break
+        memory.injector = None
+        record = injector.record
+        if record is None:
+            return None, {}
+        masks = {}
+        for cell in record.masked_cells():
+            masks[cell] = memory.peek_bits(record.array, cell)
+            memory.poke_bits(record.array, cell, 0)  # zero for the next trial
+        return record, masks
+
+    # -- per-kind proofs -------------------------------------------------
+    def _prove(self, record, masks):
+        """``(verdict, class)`` when the injection's outcome is provable;
+        ``masks`` maps each struck cell to the bits flipped in it."""
+        timeline = self.timeline
+        classifier = self.classifier
+        if record.kind in ("value", "burst"):
+            exposed = []
+            for cell, mask in masks.items():
+                window = classifier.window_at(
+                    record.array, cell, record.at_load
+                )
+                if not window.masked:
+                    bits = tuple(bit for bit in range(64) if mask >> bit & 1)
+                    exposed.append((window, bits))
+            if not exposed:
+                return BENIGN, CLASS_MASKED
+            if len(exposed) == 1 and classifier.window_detects(*exposed[0]):
+                # Every other struck cell is masked (zero checksum delta),
+                # so the single exposed cell's provable imbalance survives
+                # the sum over cells.
+                return DETECTED, CLASS_DETECTED
             return None
-        name = fired_name
-        shape = timeline.shapes[name]
-        size = 1
-        for extent in shape:
-            size *= extent
-        events = timeline.stores_by_array[name]
-        event = events[
-            bisect_left(self._store_ordinals[name], fired_ordinal)
-        ]
-        intended = event.indices
-        offset = linear_offset(intended, shape)
-        bit = rng.randrange(size.bit_length())
-        actual = cell_at(offset ^ (1 << bit), shape)
-        in_bounds = actual[0] < shape[0]
-        cells = (intended, actual) if in_bounds else (intended,)
-        injection = InjectionRecord(
-            array=name,
-            indices=intended,
-            bits=(bit,),
-            at_load=fired_ordinal,
-            kind="addrgen_store",
-            cells=cells,
-            actual=actual,
-        ).to_dict()
-        # BENIGN iff neither the stale intended cell nor the clobbered
-        # actual cell is ever loaded before its next (clean) store, and
-        # the fired store carries no effectful contribution.  (The
-        # def-side contribution itself uses register bits + the
-        # intended address, so it is identical in both runs; the checks
-        # below are the belt to that suspender.)
-        for contrib_name, count, real in event.contribs:
-            if not real or count is None or count != 0:
+        if record.kind == "stuck_bit":
+            if (
+                timeline.last_load_ordinal(record.array, record.indices)
+                < record.at_load
+            ):
+                # The forced bit is never read at or after the arm point:
+                # stores during the window are re-forced at rest but those
+                # words are never loaded either, so nothing propagates and
+                # no contribution is corrupted.  (Never predict DETECTED
+                # here — forcing can be a value-level no-op.)
+                return BENIGN, CLASS_MASKED
+            return None
+        if record.kind == "addrgen_store":
+            # BENIGN iff neither the stale intended cell nor the clobbered
+            # actual cell (both in ``cells`` when in bounds) is loaded
+            # before its next (clean) store, and the fired store carries
+            # no effectful contribution.  (The def-side contribution
+            # itself uses register bits + the intended address, so it is
+            # identical in both runs; the checks below are the belt to
+            # that suspender.)
+            event = timeline.stores[record.at_load - 1]
+            if any(count != 0 for _, count in event.contribs):
                 return None
-        if not timeline.store_kills(name, intended, event):
+            if all(
+                timeline.store_kills(record.array, cell, event)
+                for cell in record.cells
+            ):
+                return BENIGN, CLASS_MASKED
             return None
-        if in_bounds and not timeline.store_kills(name, actual, event):
-            return None
-        return BENIGN, injection, CLASS_MASKED
+        # A redirected load reads a pristine word from the wrong cell;
+        # what that word does is value-dependent, so measure it.
+        return None

@@ -1,138 +1,130 @@
-"""Static execution timeline of an instrumented program.
+"""The golden run's event stream, recorded from the reference interpreter.
 
 The classifier (:mod:`repro.analysis.classify`) and the campaign
 oracle (:mod:`repro.analysis.oracle`) need to know, for every memory
 cell, *when* it is loaded and stored (in the global load/store ordinal
 streams the fault injectors trigger on) and *which checksum
-contributions* consume each loaded register copy.  This module replays
-the program symbolically to build exactly that: control flow
-(iterators, parameters, shadow counters) is evaluated concretely —
-it never depends on faultable data for the affine kernels — while
-data values are an opaque :data:`UNKNOWN`.
+contributions* consume each loaded register copy.  This module records
+exactly that from one fault-free run of
+:class:`~repro.runtime.interpreter.Interpreter`, observed through the
+two hooks it already has:
 
-The replay mirrors :class:`repro.runtime.interpreter.Interpreter`
-statement for statement, including the per-bundle load cache (a cell
-loaded once per instrumented assignment yields *one* load event, and
-every contribution of that bundle consumes the same register copy) and
-the typed counter load/store pairs.  Anything whose event stream would
-depend on data values — ``while`` loops, data-dependent subscripts or
-guards, ``ChecksumReset`` — raises :class:`TimelineUnsupported`; the
-callers then simply fall back to measured trials.
+* a never-acting :class:`~repro.runtime.faults.base.FaultInjector`
+  (``injector=``) sees every load and store with its ordinal;
+* a :class:`~repro.runtime.state.ChecksumState` subclass
+  (``checksums=``) sees every verifier, and joins each contribution to
+  the latest event on its address — the register copy the interpreter
+  consumed (an instrumented assignment loads each cell once per bundle,
+  and its stored value feeds the def contribution).
 
-Soundness-relevant annotations recorded along the way:
+The one fact a run cannot show is what faultable data *could* steer in
+another run.  One walk over the IR answers it:
 
-* ``poison_all`` on a load event — its value steers control flow or
-  address arithmetic, so a strike on it invalidates the whole event
-  stream (never classify such a window as detected).
-* poison contributions ``(name, None, real=False)`` — the load feeds a
-  checksum contribution *non-linearly* (an expression-valued
-  ``ChecksumAdd`` or a data-dependent count), so channel ``name``
-  cannot be reasoned about for strikes covering this load.
-* real contributions with ``count=None`` — the contribution multiplies
-  the cell's value but by a statically unknown factor.
-* ``divide_hazard`` — some division's divisor is data-dependent, so a
-  corrupted value could crash the run instead of reaching a verifier
-  (suppresses *detected* predictions; masked windows are unaffected
-  because the faulty run never feeds corrupt data into the divisor).
+* ``divide_hazard`` — some divisor reads memory, so a corrupted value
+  could crash the run instead of reaching a verifier (suppresses
+  *detected* predictions; masked windows are unaffected because the
+  faulty run never feeds corrupt data into the divisor);
+* ``data_dependent`` — memory reads steer control flow, a subscript, a
+  loop bound, a contribution count or which loads happen at all, so a
+  corrupted read can change the event stream itself.  Such programs
+  keep their masked proofs (an unread corruption leaves the run
+  golden) but lose detection proofs.
+
+:class:`TimelineUnsupported` means the fault-free run itself failed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Mapping
 
-from repro.ir.analysis import to_affine
 from repro.ir.nodes import (
     ArrayRef,
     Assign,
     BinOp,
     Call,
     ChecksumAdd,
-    ChecksumAssert,
     ChecksumReset,
-    Const,
     CounterIncrement,
     If,
     Loop,
     Program,
     Select,
-    UnOp,
     VarRef,
     WhileLoop,
+    walk_expressions,
+    walk_statements,
 )
-from repro.runtime.memory import decode_value, encode_value
+from repro.runtime.faults.base import FaultInjector
+from repro.runtime.interpreter import InterpreterError, run_program
+from repro.runtime.memory import MemoryError64, lazy_numpy
+from repro.runtime.state import ChecksumState
+from repro.service.store import namespace
 
-MASK64 = (1 << 64) - 1
-
-DEFAULT_MAX_EVENTS = 20_000_000
+#: Timelines kept per process (memory-only ``timeline`` store namespace).
+_LIMIT = 8
 
 
 class TimelineUnsupported(Exception):
-    """The program's event stream cannot be derived statically."""
-
-
-class _Unknown:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "UNKNOWN"
-
-
-UNKNOWN = _Unknown()
-"""Sentinel for a data value the static replay cannot know."""
+    """The program's fault-free run failed, so it has no event stream."""
 
 
 class LoadEvent:
     """One load in the global ordinal stream (1-based, dense)."""
 
-    __slots__ = ("ordinal", "contribs", "poison_all")
+    __slots__ = ("ordinal", "stores_before", "array", "indices", "contribs")
 
-    def __init__(self, ordinal: int) -> None:
+    is_load = True
+
+    def __init__(
+        self, ordinal: int, stores_before: int, array: str, indices: tuple
+    ) -> None:
         self.ordinal = ordinal
-        self.contribs: list[tuple[str, int | None, bool]] = []
-        self.poison_all = False
-
-    @property
-    def is_load(self) -> bool:
-        return True
+        self.stores_before = stores_before
+        self.array = array
+        self.indices = indices
+        self.contribs: list[tuple[str, int]] = []
 
 
 class StoreEvent:
     """One store: ``loads_before`` positions it between load ordinals."""
 
-    __slots__ = ("ordinal", "loads_before", "contribs", "indices")
+    __slots__ = ("ordinal", "loads_before", "array", "indices", "contribs")
+
+    is_load = False
 
     def __init__(
-        self, ordinal: int, loads_before: int, indices: tuple[int, ...]
+        self, ordinal: int, loads_before: int, array: str, indices: tuple
     ) -> None:
         self.ordinal = ordinal
         self.loads_before = loads_before
-        self.contribs: list[tuple[str, int | None, bool]] = []
+        self.array = array
         self.indices = indices
-
-    @property
-    def is_load(self) -> bool:
-        return False
+        self.contribs: list[tuple[str, int]] = []
 
 
 class Timeline:
-    """The complete static event stream of one (program, params) run."""
+    """The complete event stream of one (program, params, values) run."""
 
-    def __init__(self, program: Program, params: dict[str, int]) -> None:
-        self.program = program
-        self.params = params
+    def __init__(self) -> None:
         self.shapes: dict[str, tuple[int, ...]] = {}
-        self.elem_types: dict[str, str] = {}
         self.shadow: set[str] = set()
+        self.loads: list[LoadEvent] = []
+        self.stores: list[StoreEvent] = []
         self.cells: dict[tuple[str, tuple[int, ...]], list] = {}
         self.loads_by_array: dict[str, list[int]] = {}
         self.stores_by_array: dict[str, list[StoreEvent]] = {}
         self.asserts: list[tuple[int, int, tuple]] = []
-        self.total_loads = 0
-        self.total_stores = 0
-        self.statements = 0
         self.divide_hazard = False
+        self.data_dependent = False
+
+    @property
+    def total_loads(self) -> int:
+        return len(self.loads)
+
+    @property
+    def total_stores(self) -> int:
+        return len(self.stores)
 
     # -- queries used by the classifier / oracle ------------------------
     def cell_events(self, array: str, cell: tuple[int, ...]) -> list:
@@ -174,555 +166,203 @@ class Timeline:
                     seen.setdefault(tuple(pair), None)
         return tuple(seen)
 
+    def accesses_from(self, kind: str, ordinal: int):
+        """The loads and stores in execution order, starting at the
+        ``ordinal``-th access of ``kind`` (``"load"`` or ``"store"``)."""
+        loads, stores = self.loads, self.stores
+        if kind == "load":
+            if ordinal > len(loads):
+                return
+            i, j = ordinal - 1, loads[ordinal - 1].stores_before
+        else:
+            if ordinal > len(stores):
+                return
+            i, j = stores[ordinal - 1].loads_before, ordinal - 1
+        while i < len(loads) or j < len(stores):
+            if i < len(loads) and loads[i].stores_before <= j:
+                yield loads[i]
+                i += 1
+            else:
+                yield stores[j]
+                j += 1
 
-class _Builder:
-    """Mirrors ``Interpreter`` exactly, recording events not values."""
 
-    def __init__(
-        self,
-        program: Program,
-        params: Mapping[str, int],
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> None:
-        self.timeline = Timeline(program, {p: int(params[p]) for p in program.params})
-        self.program = program
-        self.params = self.timeline.params
-        self.max_events = max_events
-        self._load_count = 0
-        self._store_count = 0
-        self._steps = 0
-        self._env: dict[str, int] = dict(self.params)
-        self._scalar_types = {d.name: d.elem_type for d in program.scalars}
-        self._shadow_values: dict[tuple, object] = {}
-        self._collectors: list[list[LoadEvent]] = []
-        self._events = 0
-        self._declare_regions()
-        self._stmt_dispatch = {
-            Assign: self._exec_assign,
-            Loop: self._exec_loop,
-            If: self._exec_if,
-            ChecksumAdd: self._exec_checksum_add,
-            CounterIncrement: self._exec_counter_increment,
-            ChecksumAssert: self._exec_assert,
-        }
+class _Recorder(FaultInjector, ChecksumState):
+    """Watches one fault-free run: as its (never-acting) injector it
+    sees each load and store, as its checksum state each contribution
+    and verifier."""
 
-    # ------------------------------------------------------------------
-    def build(self) -> Timeline:
-        self._exec_body(self.program.body)
-        t = self.timeline
-        t.total_loads = self._load_count
-        t.total_stores = self._store_count
-        t.statements = self._steps
-        return t
+    def __init__(self, timeline: Timeline) -> None:
+        ChecksumState.__init__(self)
+        self.timeline = timeline
+        self._latest: dict[int, LoadEvent | StoreEvent] = {}
+        """Byte address -> the latest event on that cell."""
 
-    def _declare_regions(self) -> None:
-        t = self.timeline
-        for decl in self.program.arrays:
-            shape = []
-            for dim in decl.dims:
-                affine = to_affine(dim, set(self.program.params))
-                if affine is None:
-                    raise TimelineUnsupported(
-                        f"array {decl.name!r} extent is not affine"
-                    )
-                shape.append(int(affine.evaluate(self.params)))
-            if any(extent < 0 for extent in shape):
-                raise TimelineUnsupported(
-                    f"array {decl.name!r} has a negative extent"
-                )
-            t.shapes[decl.name] = tuple(shape)
-            t.elem_types[decl.name] = decl.elem_type
-            if decl.is_shadow:
-                t.shadow.add(decl.name)
-        for decl in self.program.scalars:
-            t.shapes[decl.name] = ()
-            t.elem_types[decl.name] = decl.elem_type
-            if decl.is_shadow:
-                t.shadow.add(decl.name)
-
-    # -- event recording -------------------------------------------------
-    def _bump_events(self) -> None:
-        self._events += 1
-        if self._events > self.max_events:
-            raise TimelineUnsupported(
-                f"event budget exceeded ({self.max_events})"
-            )
-
-    def _check_bounds(self, name: str, indices: tuple[int, ...]) -> None:
-        shape = self.timeline.shapes.get(name)
-        if shape is None:
-            raise TimelineUnsupported(f"undeclared region {name!r}")
-        if len(indices) != len(shape) or any(
-            not 0 <= index < extent for index, extent in zip(indices, shape)
-        ):
-            raise TimelineUnsupported(
-                f"out-of-bounds access {name}{list(indices)}"
-            )
-
-    def _record_load(self, name: str, indices: tuple[int, ...]) -> LoadEvent:
-        self._check_bounds(name, indices)
-        self._bump_events()
-        self._load_count += 1
-        event = LoadEvent(self._load_count)
+    def _record(self, memory, event, name, indices) -> None:
         self.timeline.cells.setdefault((name, indices), []).append(event)
+        self._latest[memory.address_of(name, indices)] = event
+
+    def before_load(self, memory, name, indices, word):
+        event = LoadEvent(memory.load_count, memory.store_count, name, indices)
+        self.timeline.loads.append(event)
         self.timeline.loads_by_array.setdefault(name, []).append(
             event.ordinal
         )
-        for collector in self._collectors:
-            collector.append(event)
-        return event
+        self._record(memory, event, name, indices)
+        return None
 
-    def _record_store(self, name: str, indices: tuple[int, ...]) -> StoreEvent:
-        self._check_bounds(name, indices)
-        self._bump_events()
-        self._store_count += 1
-        event = StoreEvent(self._store_count, self._load_count, indices)
-        self.timeline.cells.setdefault((name, indices), []).append(event)
+    def after_store(self, memory, name, indices, word):
+        event = StoreEvent(
+            memory.store_count, memory.load_count, name, indices
+        )
+        self.timeline.stores.append(event)
         self.timeline.stores_by_array.setdefault(name, []).append(event)
-        return event
+        self._record(memory, event, name, indices)
+        return None
 
-    # -- statements ------------------------------------------------------
-    def _exec_body(self, body) -> None:
-        for stmt in body:
-            self._exec_statement(stmt)
+    def add(self, which, bits, count=1, address=None) -> None:
+        super().add(which, bits, count, address)
+        # An expression-valued contribution has no address: no cell's
+        # register copy feeds it (the IR walk flags one that reads).
+        if address is not None:
+            self._latest[address].contribs.append((which, count))
 
-    def _exec_statement(self, stmt) -> None:
-        self._steps += 1
-        handler = self._stmt_dispatch.get(type(stmt))
-        if handler is None:
-            for node_type, candidate in self._stmt_dispatch.items():
-                if isinstance(stmt, node_type):
-                    handler = candidate
-                    break
-            else:
-                if isinstance(stmt, (WhileLoop, ChecksumReset)):
-                    raise TimelineUnsupported(
-                        f"{type(stmt).__name__} has a data-dependent "
-                        "event stream"
-                    )
-                raise TimelineUnsupported(f"unsupported statement {stmt!r}")
-        handler(stmt)
+    def verify(self, pairs):
+        timeline = self.timeline
+        timeline.asserts.append(
+            (timeline.total_loads, timeline.total_stores, tuple(pairs))
+        )
+        return super().verify(pairs)
 
-    def _exec_loop(self, stmt: Loop) -> None:
-        lower = self._eval_control(stmt.lower)
-        upper = self._eval_control(stmt.upper)
-        saved = self._env.get(stmt.var)
-        for value in range(lower, upper + 1):
-            self._env[stmt.var] = value
-            self._exec_body(stmt.body)
-        if saved is None:
-            self._env.pop(stmt.var, None)
-        else:
-            self._env[stmt.var] = saved
 
-    def _exec_if(self, stmt: If) -> None:
-        if self._eval_control(stmt.cond):
-            self._exec_body(stmt.then_body)
-        else:
-            self._exec_body(stmt.else_body)
+def ir_hazards(program: Program) -> tuple[bool, bool]:
+    """``(divide_hazard, data_dependent)`` from one walk over the IR."""
+    regions = {decl.name for decl in (*program.arrays, *program.scalars)}
 
-    def _exec_assign(self, stmt: Assign) -> None:
-        cache: dict[tuple, tuple[object, LoadEvent]] = {}
-        instr = stmt.instrumentation
-        if isinstance(stmt.lhs, ArrayRef):
-            target = (stmt.lhs.array, self._eval_indices(stmt.lhs.indices, cache))
-        else:
-            target = (stmt.lhs.name, ())
-        value = self._eval(stmt.rhs, cache)
-        if instr:
-            for use in instr.uses:
-                _, event = self._ref_through_cache(use.ref, cache)
-                count = self._eval_count(use.count, cache, use.checksum)
-                event.contribs.append((use.checksum, count, True))
-            for counter_ref in instr.counter_increments:
-                self._bump_counter(counter_ref, cache, 1)
-            if instr.pre_overwrite:
-                self._pre_overwrite(stmt, instr.pre_overwrite, cache)
-        store_event = self._record_store(target[0], target[1])
-        if target[0] in self.timeline.shadow:
-            self._track_shadow(target, value)
-        cache.pop(target, None)
-        if instr and instr.duplicate_store is not None:
-            dup = instr.duplicate_store
-            if isinstance(dup, ArrayRef):
-                dup_target = (dup.array, self._eval_indices(dup.indices, cache))
-            else:
-                dup_target = (dup.name, ())
-            self._record_store(dup_target[0], dup_target[1])
-            if dup_target[0] in self.timeline.shadow:
-                self._track_shadow(dup_target, value)
-            cache.pop(dup_target, None)
-        if instr and instr.definition:
-            d = instr.definition
-            count = self._eval_count(d.count, cache, d.checksum)
-            store_event.contribs.append((d.checksum, count, True))
-            if d.aux:
-                store_event.contribs.append((d.aux_checksum, 1, True))
-
-    def _pre_overwrite(self, stmt: Assign, adjust, cache) -> None:
-        _, event = self._ref_through_cache(stmt.lhs, cache)
-        counter_value = self._load_counter(adjust.counter, cache)
-        if counter_value is UNKNOWN:
-            def_count = None
-        else:
-            def_count = int(counter_value) - 1
-        event.contribs.append((adjust.def_checksum, def_count, True))
-        event.contribs.append((adjust.e_use_checksum, 1, True))
-        self._store_counter(adjust.counter, cache, 0)
-
-    def _exec_checksum_add(self, stmt: ChecksumAdd) -> None:
-        cache: dict[tuple, tuple[object, LoadEvent]] = {}
-        if isinstance(stmt.value, (ArrayRef, VarRef)) and self._is_data_ref(
-            stmt.value
-        ):
-            _, event = self._ref_through_cache(stmt.value, cache)
-            count = self._eval_count(stmt.count, cache, stmt.checksum)
-            event.contribs.append((stmt.checksum, count, True))
-            return
-        # Expression-valued contribution: the added bits are a
-        # *non-linear* function of whatever was loaded to compute it, so
-        # every such load poisons channel ``stmt.checksum``.
-        self._collectors.append([])
-        try:
-            self._eval(stmt.value, cache)
-        finally:
-            loaded = self._collectors.pop()
-        for event in loaded:
-            event.contribs.append((stmt.checksum, None, False))
-        self._eval_count(stmt.count, cache, stmt.checksum)
-
-    def _exec_counter_increment(self, stmt: CounterIncrement) -> None:
-        cache: dict[tuple, tuple[object, LoadEvent]] = {}
-        amount = self._eval(stmt.amount, cache)
-        self._bump_counter(stmt.counter, cache, amount)
-
-    def _exec_assert(self, stmt: ChecksumAssert) -> None:
-        self.timeline.asserts.append(
-            (self._load_count, self._store_count, tuple(stmt.pairs))
+    def reads(expr) -> bool:
+        return any(
+            isinstance(node, ArrayRef)
+            or (isinstance(node, VarRef) and node.name in regions)
+            for node in walk_expressions(expr)
         )
 
-    # -- counters (shadow state) ----------------------------------------
-    def _counter_location(self, ref, cache) -> tuple[str, tuple[int, ...]]:
-        if isinstance(ref, ArrayRef):
-            return ref.array, self._eval_indices(ref.indices, cache)
-        return ref.name, ()
+    data_dependent = False
+    steering = []  # a memory read in these steers the event stream
+    others = []  # every other expression (checked node by node below)
+    for stmt in walk_statements(program.body):
+        if isinstance(stmt, (WhileLoop, ChecksumReset)):
+            data_dependent = True
+        if isinstance(stmt, (If, WhileLoop)):
+            steering.append(stmt.cond)
+        elif isinstance(stmt, Loop):
+            steering += [stmt.lower, stmt.upper]
+        elif isinstance(stmt, Assign):
+            others += [stmt.lhs, stmt.rhs]
+            instr = stmt.instrumentation
+            if instr:
+                for use in instr.uses:
+                    others.append(use.ref)
+                    steering.append(use.count)
+                others += instr.counter_increments
+                if instr.pre_overwrite:
+                    # Its def count is a counter loaded from memory.
+                    data_dependent = True
+                    others.append(instr.pre_overwrite.counter)
+                if instr.duplicate_store is not None:
+                    others.append(instr.duplicate_store)
+                if instr.definition:
+                    steering.append(instr.definition.count)
+        elif isinstance(stmt, ChecksumAdd):
+            # A reference contributes its cell's register copy; any
+            # other expression contributes a function of its reads.
+            if isinstance(stmt.value, (ArrayRef, VarRef)):
+                others.append(stmt.value)
+            else:
+                steering.append(stmt.value)
+            steering.append(stmt.count)
+        elif isinstance(stmt, CounterIncrement):
+            others.append(stmt.counter)
+            steering.append(stmt.amount)
+    data_dependent = data_dependent or any(reads(expr) for expr in steering)
+    divide_hazard = False
+    for expr in steering + others:
+        for node in walk_expressions(expr):
+            if isinstance(node, ArrayRef):
+                if any(reads(index) for index in node.indices):
+                    data_dependent = True
+            elif isinstance(node, BinOp):
+                if node.op in ("/", "%") and reads(node.right):
+                    divide_hazard = True
+                elif node.op in ("&&", "||") and (
+                    reads(node.left) and reads(node.right)
+                ):
+                    data_dependent = True
+            elif isinstance(node, Call):
+                if node.func == "mod" and len(node.args) == 2 and reads(
+                    node.args[1]
+                ):
+                    divide_hazard = True
+            elif isinstance(node, Select):
+                if reads(node.cond) and (
+                    reads(node.if_true) or reads(node.if_false)
+                ):
+                    data_dependent = True
+    return divide_hazard, data_dependent
 
-    def _shadow_value(self, key: tuple) -> object:
-        return self._shadow_values.get(key, 0)
 
-    def _track_shadow(self, key: tuple, value) -> None:
-        if value is UNKNOWN:
-            self._shadow_values[key] = UNKNOWN
-            return
-        elem_type = self.timeline.elem_types.get(key[0], "i64")
-        self._shadow_values[key] = decode_value(
-            encode_value(value, elem_type), elem_type
+def _record_golden_run(
+    program: Program, params: dict[str, int], initial_values
+) -> Timeline:
+    timeline = Timeline()
+    recorder = _Recorder(timeline)
+    try:
+        result = run_program(
+            program,
+            params,
+            initial_values=initial_values,
+            injector=recorder,
+            checksums=recorder,
         )
-
-    def _load_counter(self, ref, cache):
-        name, indices = self._counter_location(ref, cache)
-        self._record_load(name, indices)
-        if name not in self.timeline.shadow:
-            raise TimelineUnsupported(
-                f"counter {name!r} is not a shadow region"
-            )
-        value = self._shadow_value((name, indices))
-        return value if value is UNKNOWN else int(value)
-
-    def _store_counter(self, ref, cache, value) -> None:
-        name, indices = self._counter_location(ref, cache)
-        self._record_store(name, indices)
-        if name in self.timeline.shadow:
-            self._track_shadow((name, indices), value)
-
-    def _bump_counter(self, ref, cache, amount) -> None:
-        # Mirror Interpreter._bump_counter: one typed load + one store.
-        name, indices = self._counter_location(ref, cache)
-        self._record_load(name, indices)
-        self._record_store(name, indices)
-        if name not in self.timeline.shadow:
-            raise TimelineUnsupported(
-                f"counter {name!r} is not a shadow region"
-            )
-        old = self._shadow_value((name, indices))
-        if old is UNKNOWN or amount is UNKNOWN:
-            self._shadow_values[(name, indices)] = UNKNOWN
-        else:
-            self._track_shadow((name, indices), int(old) + int(amount))
-
-    # -- expression evaluation ------------------------------------------
-    def _is_data_ref(self, ref) -> bool:
-        if isinstance(ref, ArrayRef):
-            return True
-        return ref.name in self._scalar_types
-
-    def _eval_indices(self, indices, cache) -> tuple[int, ...]:
-        if not indices:
-            return ()
-        self._collectors.append([])
-        try:
-            values = tuple(self._eval(index, cache) for index in indices)
-        finally:
-            loaded = self._collectors.pop()
-        for event in loaded:
-            event.poison_all = True
-        if any(value is UNKNOWN for value in values):
-            raise TimelineUnsupported("data-dependent subscript")
-        return tuple(int(value) for value in values)
-
-    def _eval_control(self, expr) -> int:
-        """Loop bounds / guards: evaluated outside any bundle cache."""
-        self._collectors.append([])
-        try:
-            value = self._eval(expr, None)
-        finally:
-            loaded = self._collectors.pop()
-        for event in loaded:
-            event.poison_all = True
-        if value is UNKNOWN:
-            raise TimelineUnsupported("data-dependent control flow")
-        return int(value)
-
-    def _eval_count(self, expr, cache, checksum: str):
-        """A contribution count; data-fed counts poison ``checksum``."""
-        self._collectors.append([])
-        try:
-            value = self._eval(expr, cache)
-        finally:
-            loaded = self._collectors.pop()
-        if value is UNKNOWN:
-            for event in loaded:
-                event.contribs.append((checksum, None, False))
-            return None
-        return int(value)
-
-    def _ref_through_cache(self, ref, cache):
-        if isinstance(ref, ArrayRef):
-            key = (ref.array, self._eval_indices(ref.indices, cache))
-        else:
-            key = (ref.name, ())
-        if cache is not None and key in cache:
-            return cache[key]
-        event = self._record_load(key[0], key[1])
-        if key[0] in self.timeline.shadow:
-            value = self._shadow_value(key)
-        else:
-            value = UNKNOWN
-        entry = (value, event)
-        if cache is not None:
-            cache[key] = entry
-        return entry
-
-    def _eval(self, expr, cache):
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, VarRef):
-            if expr.name in self._env:
-                return self._env[expr.name]
-            if expr.name in self._scalar_types:
-                return self._ref_through_cache(expr, cache)[0]
-            raise TimelineUnsupported(f"unbound name {expr.name!r}")
-        if isinstance(expr, ArrayRef):
-            return self._ref_through_cache(expr, cache)[0]
-        if isinstance(expr, BinOp):
-            return self._eval_binop(expr, cache)
-        if isinstance(expr, UnOp):
-            operand = self._eval(expr.operand, cache)
-            if expr.op == "-":
-                return UNKNOWN if operand is UNKNOWN else -operand
-            if expr.op == "!":
-                if operand is UNKNOWN:
-                    return UNKNOWN
-                return 0 if operand else 1
-            raise TimelineUnsupported(f"unknown unary op {expr.op!r}")
-        if isinstance(expr, Call):
-            return self._eval_call(expr, cache)
-        if isinstance(expr, Select):
-            return self._eval_select(expr, cache)
-        raise TimelineUnsupported(f"cannot evaluate {expr!r}")
-
-    def _eval_select(self, expr: Select, cache):
-        cond = self._eval(expr.cond, cache)
-        if cond is UNKNOWN:
-            if _has_data_reads(expr.if_true, self.timeline.shapes) or _has_data_reads(
-                expr.if_false, self.timeline.shapes
-            ):
-                raise TimelineUnsupported(
-                    "data-dependent select over data reads"
-                )
-            return UNKNOWN
-        if cond:
-            return self._eval(expr.if_true, cache)
-        return self._eval(expr.if_false, cache)
-
-    def _eval_binop(self, expr: BinOp, cache):
-        op = expr.op
-        if op in ("&&", "||"):
-            left = self._eval(expr.left, cache)
-            if left is UNKNOWN:
-                if _has_data_reads(expr.right, self.timeline.shapes):
-                    raise TimelineUnsupported(
-                        "data-dependent short-circuit over data reads"
-                    )
-                return UNKNOWN
-            if op == "&&":
-                if not left:
-                    return 0
-                right = self._eval(expr.right, cache)
-                if right is UNKNOWN:
-                    return UNKNOWN
-                return 1 if right else 0
-            if left:
-                return 1
-            right = self._eval(expr.right, cache)
-            if right is UNKNOWN:
-                return UNKNOWN
-            return 1 if right else 0
-        left = self._eval(expr.left, cache)
-        right = self._eval(expr.right, cache)
-        if op in ("/", "%") and right is UNKNOWN:
-            # A corrupted divisor can raise instead of reaching a
-            # verifier; only *detected* predictions are affected.
-            self.timeline.divide_hazard = True
-        if left is UNKNOWN or right is UNKNOWN:
-            return UNKNOWN
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            result = {
-                "==": left == right,
-                "!=": left != right,
-                "<": left < right,
-                "<=": left <= right,
-                ">": left > right,
-                ">=": left >= right,
-            }[op]
-            return 1 if result else 0
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                if right == 0:
-                    raise TimelineUnsupported("integer division by zero")
-                return left // right
-            if right == 0:
-                import math
-
-                if left == 0:
-                    return float("nan")
-                sign = math.copysign(1.0, float(left)) * math.copysign(
-                    1.0, float(right)
-                )
-                return math.copysign(math.inf, sign)
-            return left / right
-        if op == "%":
-            if right == 0:
-                raise TimelineUnsupported("modulo by zero")
-            return left % right
-        raise TimelineUnsupported(f"unknown binary op {op!r}")
-
-    def _eval_call(self, expr: Call, cache):
-        import math
-
-        args = [self._eval(a, cache) for a in expr.args]
-        func = expr.func
-        if func == "mod" and len(args) == 2 and args[1] is UNKNOWN:
-            self.timeline.divide_hazard = True
-        if any(a is UNKNOWN for a in args):
-            return UNKNOWN
-        if func == "sqrt":
-            if args[0] < 0:
-                return float("nan")
-            return math.sqrt(args[0])
-        if func == "abs":
-            return abs(args[0])
-        if func == "min":
-            return min(args)
-        if func == "max":
-            return max(args)
-        if func == "exp":
-            try:
-                return math.exp(args[0])
-            except OverflowError:
-                return math.inf
-        if func == "sin":
-            return math.sin(args[0])
-        if func == "cos":
-            return math.cos(args[0])
-        if func == "floor":
-            return math.floor(args[0])
-        if func == "mod":
-            return args[0] % args[1]
-        raise TimelineUnsupported(f"unknown intrinsic {func!r}")
+    except (
+        InterpreterError, MemoryError64, ArithmeticError, ValueError
+    ) as exc:
+        raise TimelineUnsupported(f"fault-free run failed: {exc}") from None
+    memory = result.memory
+    timeline.shapes = {
+        name: memory.shape(name)
+        for name in memory.region_names(include_shadow=True)
+    }
+    timeline.shadow = set(timeline.shapes) - set(memory.region_names())
+    timeline.divide_hazard, timeline.data_dependent = ir_hazards(program)
+    return timeline
 
 
-def _has_data_reads(expr, regions: dict) -> bool:
-    """Whether evaluating ``expr`` could touch declared memory."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ArrayRef):
-            return True
-        if isinstance(node, VarRef):
-            if node.name in regions:
-                return True
-        elif isinstance(node, BinOp):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, UnOp):
-            stack.append(node.operand)
-        elif isinstance(node, Call):
-            stack.extend(node.args)
-        elif isinstance(node, Select):
-            stack.extend((node.cond, node.if_true, node.if_false))
-    return False
-
-
-# ----------------------------------------------------------------------
-# Memoized entry point
-# ----------------------------------------------------------------------
-_MEMO: OrderedDict = OrderedDict()
-_MEMO_CAP = 8
-
-
-def _memo_key(program: Program, params: Mapping[str, int]) -> tuple:
+def _key(program: Program, params: dict[str, int], initial_values) -> str:
     from repro.ir.printer import program_to_text
 
-    digest = hashlib.sha256(program_to_text(program).encode()).hexdigest()
-    return digest, tuple(sorted((k, int(v)) for k, v in params.items()))
+    digest = hashlib.sha256(program_to_text(program).encode("utf-8"))
+    digest.update(repr(sorted(params.items())).encode("utf-8"))
+    np = lazy_numpy()
+    for name in sorted(initial_values or {}):
+        array = np.ascontiguousarray(initial_values[name])
+        digest.update(f"\0{name}:{array.dtype.str}:{array.shape}\0".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def build_timeline(
     program: Program,
     params: Mapping[str, int],
-    max_events: int = DEFAULT_MAX_EVENTS,
+    initial_values: Mapping[str, object] | None = None,
 ) -> Timeline:
-    """Build (or fetch the memoized) timeline for ``(program, params)``.
+    """The timeline of ``program`` run fault-free on ``initial_values``
+    (zeroed memory when omitted), memoized in the memory-only
+    ``timeline`` namespace of the artifact store.
 
-    Raises :class:`TimelineUnsupported` for programs whose event stream
-    is data-dependent; failures are memoized too so repeated callers
-    don't replay the walk.
+    Raises :class:`TimelineUnsupported` when that run fails.
     """
-    key = _memo_key(program, params)
-    if key in _MEMO:
-        _MEMO.move_to_end(key)
-        cached = _MEMO[key]
-        if isinstance(cached, TimelineUnsupported):
-            raise cached
-        return cached
-    try:
-        timeline = _Builder(program, params, max_events=max_events).build()
-    except TimelineUnsupported as exc:
-        _MEMO[key] = exc
-        while len(_MEMO) > _MEMO_CAP:
-            _MEMO.popitem(last=False)
-        raise
-    _MEMO[key] = timeline
-    while len(_MEMO) > _MEMO_CAP:
-        _MEMO.popitem(last=False)
-    return timeline
-
-
-def clear_timeline_memo() -> None:
-    _MEMO.clear()
+    params = {p: int(params[p]) for p in program.params}
+    return namespace("timeline", limit=_LIMIT).get_or_compute(
+        _key(program, params, initial_values),
+        lambda: _record_golden_run(program, params, initial_values),
+    )

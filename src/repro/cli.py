@@ -483,13 +483,16 @@ def cmd_campaign_run(args) -> int:
     import os
 
     from repro.campaign import run_campaign
+    from repro.service.store import ENV_STORE_DIR
 
-    if args.store:
-        # Via the environment so the forked workers inherit it.
-        os.environ["REPRO_ARTIFACT_STORE"] = args.store
     spec = _campaign_spec_from_args(args)
     # Sharded runs on a terminal show their progress as it comes in.
     live = args.workers > 1 and sys.stderr.isatty()
+    previous = os.environ.get(ENV_STORE_DIR)
+    if args.store:
+        # Via the environment so the forked workers inherit it, for
+        # this run only: a later call in this process must not see it.
+        os.environ[ENV_STORE_DIR] = args.store
     try:
         result = run_campaign(
             spec,
@@ -500,6 +503,12 @@ def cmd_campaign_run(args) -> int:
         )
     except (ValueError, RuntimeError) as error:
         raise SystemExit(str(error)) from None
+    finally:
+        if args.store:
+            if previous is None:
+                os.environ.pop(ENV_STORE_DIR, None)
+            else:
+                os.environ[ENV_STORE_DIR] = previous
     return _print_campaign_result(result)
 
 

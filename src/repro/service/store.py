@@ -15,7 +15,8 @@ campaign worker processes each re-warmed all four.
 The store is one get-or-compute layer shared by all of them:
 
 * a :class:`Namespace` per artifact kind (``golden``, ``kernel``,
-  ``instrument``, ``poly``, ``isl_empty``, ``isl_fm``, ``isl_count``),
+  ``instrument``, ``poly``, ``timeline``, ``isl_empty``, ``isl_fm``,
+  ``isl_count``),
   each an LRU-bounded in-memory map with hit/miss/eviction/disk-hit
   counters;
 * an **opt-in shared disk directory** (:func:`set_store_dir` or the

@@ -6,10 +6,10 @@ there must raise a checksum mismatch; whenever it says ``masked``,
 the run must end clean with corruption confined to the struck cell.
 The property suite enumerates injections with
 :class:`~repro.runtime.faults.ScheduledBitFlip` — the deterministic
-analogue of the random_cell injector — on generated programs and on a
-real benchmark, and the cross-validation half replays whole campaign
-trials through the :class:`~repro.analysis.oracle.StaticOracle` for
-every fault model.
+analogue of the random_cell injector — on generated programs, on an
+affine benchmark and on the irregular ``cg``, and the cross-validation
+half replays whole campaign trials through the
+:class:`~repro.analysis.oracle.StaticOracle` for every fault model.
 """
 
 from __future__ import annotations
@@ -59,20 +59,26 @@ def _diff_cells(clean: dict, faulted: dict):
     return diffs
 
 
-def _check_sites(program, params):
+def _check_sites(program, params, values=None):
     """Exhaustively inject at segment-representative strike times and
     assert the static verdicts against the measured runs."""
     try:
-        timeline = build_timeline(program, params)
+        timeline = build_timeline(program, params, values)
     except TimelineUnsupported:
-        pytest.skip("generated program has no static timeline")
+        pytest.skip("generated program fails its fault-free run")
     classifier = ProgramClassifier(timeline)
-    clean = run_program(program, params)
+    clean = run_program(program, params, initial_values=values)
     assert not clean.mismatches
     clean_snapshot = clean.memory.snapshot()
     checked = detected_cases = 0
-    for (array, cell) in list(timeline.cells)[:10]:
+    swept: dict[str, int] = {}
+    for position, (array, cell) in enumerate(timeline.cells):
         if array in timeline.shadow:
+            continue
+        # The first ten cells accessed, plus the first few of every
+        # other array.
+        swept[array] = swept.get(array, 0) + 1
+        if position >= 10 and swept[array] > 3:
             continue
         floors, _ = classifier.segments(array, cell)
         times = sorted(set(list(floors[:4]) + [timeline.total_loads]))
@@ -86,6 +92,7 @@ def _check_sites(program, params):
                 result = run_program(
                     program,
                     params,
+                    initial_values=values,
                     injector=ScheduledBitFlip(
                         array, cell, list(bits), at_load=t
                     ),
@@ -137,11 +144,26 @@ def test_benchmark_sound_and_exercises_detection():
     assert detected_cases > 0
 
 
+def test_irregular_benchmark_masked_sites_sound():
+    """cg's stream depends on its data: no site may be called detected,
+    and every masked one must measure clean."""
+    spec = ProgramCampaignSpec(
+        trials=1, seed=0, benchmark="cg", scale="small"
+    )
+    prepared = spec.prepare()
+    checked, detected_cases = _check_sites(
+        prepared.program, prepared.params, prepared.values
+    )
+    assert checked > 0
+    assert detected_cases == 0
+
+
 @pytest.mark.parametrize("model", FAULT_MODELS)
-@pytest.mark.parametrize("name", ["jacobi1d", "trisolv"])
+@pytest.mark.parametrize("name", ["jacobi1d", "trisolv", "cg", "moldyn"])
 def test_oracle_matches_measured_trials(name, model):
     """Every oracle prediction must equal the measured trial —
-    verdict and the injection record, bit for bit."""
+    verdict and the injection record, bit for bit.  On the irregular
+    benchmarks (data-dependent streams) none may be ``detected``."""
     spec = ProgramCampaignSpec(
         trials=25,
         seed=7,
@@ -166,6 +188,8 @@ def test_oracle_matches_measured_trials(name, model):
         assert predicted.injection == measured.injection
         assert predicted.extra["predicted"] is True
         assert measured.verdict != "sdc"
+        if name in ("cg", "moldyn"):
+            assert predicted.verdict != "detected"
     if model in ("random_cell", "stuck_bit", "burst"):
         # Value-fault models always have provable masked windows.  The
         # addrgen models may predict nothing: loads are structurally
@@ -173,11 +197,17 @@ def test_oracle_matches_measured_trials(name, model):
         assert predictions > 0
 
 
-def test_oracle_disabled_on_irregular_benchmark():
+def test_oracle_on_for_irregular_benchmark_off_for_recovery():
     spec = ProgramCampaignSpec(
         trials=5, seed=0, benchmark="cg", scale="small"
     )
     oracle = StaticOracle(spec, spec.prepare())
+    assert oracle.enabled, oracle.reason
+    assert oracle.timeline.data_dependent
+    recovering = ProgramCampaignSpec(
+        trials=5, seed=0, benchmark="cg", scale="small", recover=True
+    )
+    oracle = StaticOracle(recovering)
     assert not oracle.enabled
-    assert "timeline unavailable" in oracle.reason
+    assert "recovery" in oracle.reason
     assert oracle.predict(0) is None

@@ -1,6 +1,7 @@
 """CLI tests (python -m repro)."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -115,6 +116,17 @@ class TestLint:
     def test_lint_benchmark_clean(self, capsys):
         assert main(["lint", "--benchmark", "jacobi1d"]) == 0
         assert "finding" in capsys.readouterr().out
+
+    def test_lint_benchmark_data_dependent(self, capsys):
+        """cg's event stream depends on its data, so a zero-data run
+        proves nothing about balance on other inputs: skipped, not an
+        error."""
+        assert main(["lint", "--benchmark", "cg"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "[balance-skipped] per-generation balance not checked: "
+            "event stream depends on data"
+        ) in out
 
     def test_lint_file_mode(self, demo_file, tmp_path, capsys):
         out = str(tmp_path / "resilient.mini")
@@ -319,6 +331,34 @@ class TestCampaign:
         )
         assert serial == []
         assert "(serial)" in serial_out and "service:" not in serial_out
+
+    def test_store_flag_ends_with_its_run(self, tmp_path, monkeypatch):
+        """``--store`` reaches the run's workers through the
+        environment; later in-process runs must not inherit it."""
+        from repro.service.store import (
+            ENV_STORE_DIR,
+            clear_store,
+            set_store_dir,
+        )
+
+        monkeypatch.delenv(ENV_STORE_DIR, raising=False)
+        set_store_dir(None)
+        store = tmp_path / "store"
+        run = ["campaign", "run", "--scale", "small", "--trials", "2"]
+        clear_store()
+        assert main(run + ["--benchmark", "jacobi1d",
+                           "--store", str(store)]) == 0
+        assert ENV_STORE_DIR not in os.environ
+        golden = sorted((store / "golden").iterdir())
+        assert len(golden) == 1
+        clear_store()
+        assert main(run + ["--benchmark", "lu"]) == 0
+        assert sorted((store / "golden").iterdir()) == golden
+        # A value set before the run is put back, not dropped.
+        monkeypatch.setenv(ENV_STORE_DIR, str(tmp_path / "outer"))
+        assert main(run + ["--benchmark", "jacobi1d",
+                           "--store", str(store)]) == 0
+        assert os.environ[ENV_STORE_DIR] == str(tmp_path / "outer")
 
     def test_prune_static(self, capsys):
         code = main(
